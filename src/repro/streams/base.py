@@ -3,8 +3,7 @@
 The paper evaluates drift detectors on MOA data streams.  This module provides
 the equivalent substrate: an :class:`Instance` record, a :class:`StreamSchema`
 describing the feature space, and the :class:`DataStream` base class that every
-generator, drift wrapper, and imbalance wrapper in :mod:`repro.streams` builds
-on.
+generator and the schedule engine in :mod:`repro.streams` build on.
 
 Streams are **batch-first**: the primitive operation is
 :meth:`DataStream.generate_batch`, which produces ``(X, y)`` NumPy arrays for

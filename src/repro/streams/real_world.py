@@ -24,6 +24,7 @@ should not.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from repro.streams.base import DataStream
@@ -119,7 +120,9 @@ def real_world_stream(
         )
     if n_instances is None:
         n_instances = min(spec.instances, max_instances)
-    dataset_seed = seed + abs(hash(spec.name)) % 10_000
+    # crc32, not hash(): str hashes are salted per interpreter, which made
+    # every surrogate realization depend on PYTHONHASHSEED.
+    dataset_seed = seed + zlib.crc32(spec.name.encode()) % 10_000
 
     profile: ImbalanceProfile
     if spec.drift == "yes":

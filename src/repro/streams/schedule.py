@@ -37,7 +37,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.streams.base import DataStream, StreamSchema
-from repro.streams.drift import DriftingStream
 from repro.streams.imbalance import ImbalanceProfile, geometric_priors_batch
 from repro.streams.sampling import (
     ClassConditionalSampler,
@@ -59,6 +58,13 @@ DRIFT_KINDS = ("real", "blip", "virtual", "noise", "prior")
 
 #: Supported transition speeds into a segment's concept.
 TRANSITIONS = ("sudden", "gradual", "incremental")
+
+#: Per-class buffer depth of each concept's class-conditional sampler.
+_MAX_BUFFER_PER_CLASS = 32
+
+#: Source rows each sampler draws per block (cheap batch generation; block
+#: boundaries depend only on cumulative rows requested, never on chunking).
+_SOURCE_BLOCK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,10 @@ class Segment:
         Transition window length (0 = abrupt).  Also the ramp length of a
         ``feature_shift`` change.
     drifted_classes:
-        Restrict the concept change to these classes (local drift): other
-        classes keep drawing from the previous concept for the whole
-        segment.  ``None`` = all classes drift.
+        Restrict the concept change to these classes (local drift): every
+        other class keeps drawing from the concept it was on, in this and
+        later segments, until a concept change that includes it.  ``None``
+        = all classes drift.
     imbalance_ratio:
         Per-segment static imbalance ratio override; ``None`` uses the
         schedule-level profile (or balanced priors when none is set).
@@ -301,7 +308,7 @@ class Schedule:
         return [event.position for event in self.events() if event.kind == "real"]
 
 
-class ScheduledStream(DriftingStream):
+class ScheduledStream(DataStream):
     """Execute a :class:`Schedule` as one seeded batch-first stream.
 
     Parameters
@@ -328,9 +335,7 @@ class ScheduledStream(DriftingStream):
         schedule: Schedule,
         imbalance: ImbalanceProfile | None = None,
         seed: int | None = None,
-        max_buffer_per_class: int = 32,
         max_tries_per_draw: int = 4_096,
-        source_block_size: int = 64,
         name: str | None = None,
     ) -> None:
         self._factory = generator_factory
@@ -352,9 +357,7 @@ class ScheduledStream(DriftingStream):
         super().__init__(schema, seed)
         self._schedule = schedule
         self._imbalance = imbalance
-        self._max_buffer = max_buffer_per_class
         self._max_tries = max_tries_per_draw
-        self._block_size = source_block_size
         self._samplers: dict[int, ClassConditionalSampler] = {
             first_concept: self._make_sampler(probe)
         }
@@ -362,6 +365,21 @@ class ScheduledStream(DriftingStream):
         self._boundaries = self._starts[1:] if len(self._starts) > 1 else np.empty(0, np.int64)
         self._boundaries = np.append(self._boundaries, schedule.total_length)
         self._concepts = schedule.resolved_concepts()
+        # Concept each class is on once segment i's transition completes: a
+        # concept change moves its drifted classes (all when unrestricted);
+        # every other class keeps the concept it was on, in later segments
+        # too, so chained local drifts never move a class silently.
+        self._class_concepts = np.empty(
+            (len(schedule.segments), probe.n_classes), dtype=np.int64
+        )
+        self._class_concepts[0] = self._concepts[0]
+        for i, segment in enumerate(schedule.segments[1:], start=1):
+            self._class_concepts[i] = self._class_concepts[i - 1]
+            if self._concepts[i] != self._concepts[i - 1]:
+                moved = segment.drifted_classes
+                self._class_concepts[
+                    i, slice(None) if moved is None else list(moved)
+                ] = self._concepts[i]
         self._shifts = schedule.resolved_shifts()
         self._events = schedule.events(probe.n_classes)
         self._drift_points = [e.position for e in self._events if e.kind == "real"]
@@ -380,6 +398,11 @@ class ScheduledStream(DriftingStream):
     @property
     def schedule(self) -> Schedule:
         return self._schedule
+
+    @property
+    def drift_points(self) -> list[int]:
+        """Emitted-instance indices at which a real drift starts."""
+        return list(self._drift_points)
 
     @property
     def events(self) -> list[DriftEvent]:
@@ -421,9 +444,9 @@ class ScheduledStream(DriftingStream):
         return ClassConditionalSampler(
             stream,
             stream.n_classes,
-            max_buffer=self._max_buffer,
+            max_buffer=_MAX_BUFFER_PER_CLASS,
             max_draws=self._max_tries,
-            block_size=self._block_size,
+            block_size=_SOURCE_BLOCK_SIZE,
         )
 
     def _sampler(self, concept: int) -> ClassConditionalSampler:
@@ -532,25 +555,21 @@ class ScheduledStream(DriftingStream):
         # Target class per instance (row-wise inverse CDF).
         wanted = inverse_cdf_classes(priors, u[:, 0], top=top_class)
 
-        # Concept per instance: mix old/new during transitions; local drifts
-        # keep non-drifted classes on the old concept for the whole segment.
-        use_new = u[:, 1] < p_new
-        for r in range(run_starts.shape[0] - 1):
-            lo, hi = int(run_starts[r]), int(run_starts[r + 1])
-            index = int(segment_index[lo])
-            drifted = segments[index].drifted_classes
-            if index and drifted is not None and self._concepts[index] != self._concepts[index - 1]:
-                use_new[lo:hi] &= np.isin(wanted[lo:hi], drifted)
+        # Concept per instance: during a transition each class mixes from the
+        # concept it was on into the one it moves to (equal for the classes a
+        # local drift leaves alone, so those never move).
+        concepts = np.where(
+            u[:, 1] < p_new,
+            self._class_concepts[segment_index, wanted],
+            self._class_concepts[np.maximum(segment_index - 1, 0), wanted],
+        )
 
         features = np.empty((n, self.n_features))
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
             index = int(segment_index[i])
-            concept = self._concepts[index]
-            if not use_new[i] and index:
-                concept = self._concepts[index - 1]
             try:
-                x, y = self._sampler(concept).sample(
+                x, y = self._sampler(int(concepts[i])).sample(
                     int(wanted[i]), allowed=segments[index].active_classes
                 )
             except StopIteration:

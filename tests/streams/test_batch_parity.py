@@ -1,23 +1,19 @@
-"""Seeded batch/instance equivalence for every generator and wrapper.
+"""Seeded batch/instance equivalence for every generator and composed stream.
 
 The batch-first contract: for a fixed seed, ``generate_batch(n)`` must be
 bit-identical to ``n`` calls of ``next_instance()``, and to any split of the
 same ``n`` instances across several smaller batches.  These tests pin that
 contract for all ten generators (in noisy and noiseless configurations, and
 with the sequential-state variants like the drifting hyperplane and moving
-RBF centroids) and for the drift/imbalance/scenario wrappers.
+RBF centroids) and for schedule-composed streams: every transition speed,
+recurring and local drift, profile-driven imbalance, the scenario families
+and the real-world surrogates.
 """
 
 import numpy as np
 import pytest
 
 from repro.streams.base import DataStream
-from repro.streams.drift import (
-    ConceptDriftStream,
-    ConceptScheduleStream,
-    LocalDriftStream,
-    RecurringDriftStream,
-)
 from repro.streams.generators import (
     AgrawalGenerator,
     HyperplaneGenerator,
@@ -30,11 +26,7 @@ from repro.streams.generators import (
     StaggerGenerator,
     WaveformGenerator,
 )
-from repro.streams.imbalance import (
-    DynamicImbalance,
-    ImbalancedStream,
-    RoleSwitchingImbalance,
-)
+from repro.streams.imbalance import DynamicImbalance, RoleSwitchingImbalance
 from repro.streams.real_world import real_world_stream
 from repro.streams.scenarios import (
     make_artificial_stream,
@@ -84,52 +76,63 @@ def _rbf(seed, concept=0):
     )
 
 
-WRAPPER_FACTORIES = {
-    "concept-drift-sudden": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        kind="sudden",
+def _sea_drift(seed, transition, width):
+    return ScheduledStream(
+        lambda concept: SEAGenerator(n_classes=3, concept=concept, seed=seed),
+        Schedule.of(
+            Segment(length=100, concept=0),
+            Segment(length=300, concept=2, transition=transition, width=width),
+        ),
         seed=seed + 2,
-    ),
-    "concept-drift-gradual": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        width=200,
-        kind="gradual",
-        seed=seed + 2,
-    ),
-    "concept-drift-incremental": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        width=200,
-        kind="incremental",
-        seed=seed + 2,
-    ),
-    "schedule": lambda seed: ConceptScheduleStream(
-        _rbf(seed), [(0, 0), (150, 1), (290, 2)], seed=seed + 1
-    ),
-    "recurring": lambda seed: RecurringDriftStream(
-        _rbf(seed), [0, 1, 2], period=110, seed=seed + 1
-    ),
-    "local-drift": lambda seed: LocalDriftStream(
+    )
+
+
+def _rbf_profiled(seed, profile):
+    return ScheduledStream(
         lambda concept: _rbf(seed, concept),
-        old_concept=0,
-        new_concept=1,
-        drifted_classes=[2, 3],
-        position=80,
-        width=150,
+        Schedule.of(Segment(length=N_CHECK)),
+        imbalance=profile,
+        seed=seed + 1,
+    )
+
+
+COMPOSED_FACTORIES = {
+    "schedule-sudden": lambda seed: _sea_drift(seed, "sudden", 0),
+    "schedule-gradual": lambda seed: _sea_drift(seed, "gradual", 200),
+    "schedule-incremental": lambda seed: _sea_drift(seed, "incremental", 200),
+    "schedule-sweep": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.of(
+            Segment(length=150, concept=0),
+            Segment(length=140, concept=1),
+            Segment(length=110, concept=2),
+        ),
         seed=seed + 1,
     ),
-    "imbalanced-dynamic": lambda seed: ImbalancedStream(
-        _rbf(seed), DynamicImbalance(4, 2.0, 25.0, period=300), seed=seed + 1
-    ),
-    "imbalanced-roles": lambda seed: ImbalancedStream(
-        _rbf(seed),
-        RoleSwitchingImbalance(4, 2.0, 25.0, period=300, switch_period=130),
+    "schedule-recurring": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.recurring([0, 1, 2], period=110, n_periods=4),
         seed=seed + 1,
+    ),
+    "schedule-local-drift": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.of(
+            Segment(length=80, concept=0),
+            Segment(
+                length=320,
+                concept=1,
+                transition="gradual",
+                width=150,
+                drifted_classes=(2, 3),
+            ),
+        ),
+        seed=seed + 1,
+    ),
+    "schedule-dynamic-imbalance": lambda seed: _rbf_profiled(
+        seed, DynamicImbalance(4, 2.0, 25.0, period=300)
+    ),
+    "schedule-role-imbalance": lambda seed: _rbf_profiled(
+        seed, RoleSwitchingImbalance(4, 2.0, 25.0, period=300, switch_period=130)
     ),
     "scenario1": lambda seed: make_artificial_stream(
         "rbf", 5, n_instances=2_000, seed=seed
@@ -174,7 +177,7 @@ WRAPPER_FACTORIES = {
     ).stream,
 }
 
-ALL_FACTORIES = {**GENERATOR_FACTORIES, **WRAPPER_FACTORIES}
+ALL_FACTORIES = {**GENERATOR_FACTORIES, **COMPOSED_FACTORIES}
 
 
 def _materialise_instances(stream: DataStream, n: int):
@@ -225,64 +228,6 @@ class TestBatchInstanceParity:
         second_x, second_y = stream.generate_batch(60)
         np.testing.assert_array_equal(first_x, second_x)
         np.testing.assert_array_equal(first_y, second_y)
-
-
-class TestFiniteSourceExhaustion:
-    """A finite source exhausting mid-batch must never lose drawn data."""
-
-    @staticmethod
-    def _make(n_base, n_drift):
-        from repro.streams.base import Instance, ListStream
-
-        base = ListStream(
-            [Instance(x=np.full(2, float(i)), y=0) for i in range(n_base)]
-        )
-        drift = ListStream(
-            [Instance(x=np.full(2, 1000.0 + i), y=1) for i in range(n_drift)]
-        )
-        return ConceptDriftStream(
-            base, drift, position=0, width=12, kind="gradual", seed=0
-        )
-
-    @pytest.mark.parametrize("n_base,n_drift", [(8, 30), (3, 200), (30, 4)])
-    def test_batch_matches_instances_even_when_finite(self, n_base, n_drift):
-        # Regression: a truncated batch used to (a) drop rows already drawn
-        # from the still-healthy source and (b) redraw concept-choice
-        # uniforms for already-decided positions, so the batch path emitted a
-        # different (much longer) stream than the per-instance path.
-        instance_stream = self._make(n_base, n_drift)
-        instances = instance_stream.take(1_000)
-        inst_x = np.vstack([i.x for i in instances]) if instances else None
-
-        batch_stream = self._make(n_base, n_drift)
-        chunks = []
-        while True:
-            features, labels = batch_stream.generate_batch(5)
-            if labels.shape[0] == 0:
-                break
-            chunks.append((features, labels))
-        batch_x = np.vstack([f for f, _ in chunks])
-        batch_y = np.concatenate([y for _, y in chunks])
-
-        assert batch_x.shape == inst_x.shape
-        np.testing.assert_array_equal(batch_x, inst_x)
-        np.testing.assert_array_equal(
-            batch_y, np.asarray([i.y for i in instances])
-        )
-        # Emitted rows are gapless prefixes of each source.
-        drift_values = batch_x[batch_y == 1][:, 0]
-        np.testing.assert_array_equal(
-            drift_values, 1000.0 + np.arange(drift_values.shape[0])
-        )
-
-    def test_exhaustion_is_terminal_for_both_paths(self):
-        stream = self._make(n_base=3, n_drift=200)
-        while stream.generate_batch(5)[1].shape[0]:
-            pass
-        # Once the selected source is exhausted, the stream stays ended for
-        # both reading paths (no redrawing of the terminal decision).
-        assert stream.generate_batch(5)[1].shape[0] == 0
-        assert stream.take(5) == []
 
 
 class TestBatchShapes:

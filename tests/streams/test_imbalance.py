@@ -1,12 +1,10 @@
-"""Unit tests for imbalance profiles and the re-sampling wrapper."""
+"""Unit tests for imbalance profiles and geometric priors."""
 
 import numpy as np
 import pytest
 
-from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import (
     DynamicImbalance,
-    ImbalancedStream,
     RoleSwitchingImbalance,
     StaticImbalance,
     geometric_priors,
@@ -135,117 +133,3 @@ class TestBatchPriorEvaluation:
             geometric_priors_batch(1, np.array([2.0]))
         with pytest.raises(ValueError):
             geometric_priors_batch(3, np.array([0.5]))
-
-
-class TestImbalancedStream:
-    def _base(self, seed=0):
-        return RandomRBFGenerator(n_classes=4, n_features=5, n_centroids=8, seed=seed)
-
-    def test_empirical_skew_tracks_profile(self):
-        profile = StaticImbalance(4, 20.0)
-        stream = ImbalancedStream(self._base(), profile, seed=1)
-        labels = np.asarray([inst.y for inst in stream.take(4000)])
-        counts = np.bincount(labels, minlength=4).astype(float)
-        # Majority (class 0) should dominate the smallest class by roughly the
-        # requested factor (allow generous tolerance for sampling noise).
-        assert counts[0] / max(counts[3], 1.0) > 5.0
-
-    def test_schema_preserved(self):
-        stream = ImbalancedStream(self._base(), StaticImbalance(4, 10.0), seed=0)
-        assert stream.n_classes == 4
-        assert stream.n_features == 5
-
-    def test_profile_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ImbalancedStream(self._base(), StaticImbalance(3, 10.0))
-
-    def test_restart_reproduces_sequence(self):
-        stream = ImbalancedStream(self._base(), StaticImbalance(4, 10.0), seed=4)
-        first = [(inst.x.copy(), inst.y) for inst in stream.take(100)]
-        stream.restart()
-        second = [(inst.x.copy(), inst.y) for inst in stream.take(100)]
-        for (xa, ya), (xb, yb) in zip(first, second):
-            np.testing.assert_array_equal(xa, xb)
-            assert ya == yb
-
-    def test_propagates_drift_points(self):
-        from repro.streams.drift import ConceptScheduleStream
-
-        generator = self._base()
-        drifting = ConceptScheduleStream(generator, [(0, 0), (500, 1)])
-        stream = ImbalancedStream(drifting, StaticImbalance(4, 10.0), seed=0)
-        assert stream.drift_points == [500]
-
-    def test_finite_base_exhaustion_is_chunk_exact_and_terminal(self):
-        # Regression: a finite base exhausting mid-batch used to let
-        # StopIteration escape generate_batch, and fresh uniforms were drawn
-        # for positions whose class choice had already been decided — so the
-        # batch path diverged from per-instance iteration at the truncation.
-        from repro.streams.base import Instance, ListStream
-
-        def make():
-            rng = np.random.default_rng(7)
-            base = ListStream(
-                [
-                    Instance(x=rng.random(3), y=int(rng.integers(3)))
-                    for _ in range(60)
-                ]
-            )
-            return ImbalancedStream(base, StaticImbalance(3, 8.0), seed=5)
-
-        instance_stream = make()
-        instances = instance_stream.take(1_000)
-        inst_x = np.vstack([i.x for i in instances])
-        inst_y = np.asarray([i.y for i in instances])
-
-        batch_stream = make()
-        chunks = []
-        while True:
-            features, labels = batch_stream.generate_batch(7)
-            if labels.shape[0] == 0:
-                break
-            chunks.append((features, labels))
-        batch_x = np.vstack([f for f, _ in chunks])
-        batch_y = np.concatenate([y for _, y in chunks])
-
-        assert batch_x.shape == inst_x.shape
-        np.testing.assert_array_equal(batch_x, inst_x)
-        np.testing.assert_array_equal(batch_y, inst_y)
-        # Terminal afterwards for both reading paths.
-        assert batch_stream.generate_batch(4)[1].shape[0] == 0
-        assert batch_stream.take(4) == []
-
-    def test_profile_position_identical_for_empty_and_tiny_chunks(self):
-        # The profile must be evaluated at the same emitted position whatever
-        # mix of empty, size-1, and larger chunks got the stream there.
-        def make():
-            return ImbalancedStream(
-                self._base(),
-                DynamicImbalance(4, 2.0, 40.0, period=50),
-                seed=9,
-            )
-
-        reference = make()
-        ref_x, ref_y = reference.generate_batch(60)
-        chunked = make()
-        parts = []
-        for size in (0, 1, 0, 13, 1, 0, 45):
-            parts.append(chunked.generate_batch(size))
-        chunk_x = np.vstack([p[0] for p in parts])
-        chunk_y = np.concatenate([p[1] for p in parts])
-        np.testing.assert_array_equal(ref_x, chunk_x)
-        np.testing.assert_array_equal(ref_y, chunk_y)
-
-    def test_role_switching_profile_changes_majority(self):
-        profile = RoleSwitchingImbalance(
-            4, min_ratio=5.0, max_ratio=20.0, period=4000, switch_period=1000
-        )
-        stream = ImbalancedStream(self._base(), profile, seed=2)
-        first_block = np.bincount(
-            [inst.y for inst in stream.take(900)], minlength=4
-        )
-        stream.take(200)  # cross the switch point
-        second_block = np.bincount(
-            [inst.y for inst in stream.take(900)], minlength=4
-        )
-        assert int(np.argmax(first_block)) != int(np.argmax(second_block))

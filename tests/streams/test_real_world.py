@@ -73,6 +73,32 @@ class TestSurrogateStreams:
         labels_b = [inst.y for inst in b.stream.take(200)]
         assert labels_a == labels_b
 
+    def test_same_realization_in_every_interpreter(self):
+        # The per-dataset seed offset must not depend on the interpreter's
+        # string-hash salt (PYTHONHASHSEED).
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.streams.real_world import real_world_stream;"
+            "x, y = real_world_stream('DJ30', n_instances=500, seed=9)"
+            ".stream.generate_batch(50);"
+            "print(x.sum().hex(), y.tolist())"
+        )
+        import repro
+
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for salt in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": source_root}
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+
     def test_surrogate_flag_in_metadata(self):
         scenario = real_world_stream("Crimes", n_instances=500, seed=0)
         assert scenario.metadata["surrogate"] is True

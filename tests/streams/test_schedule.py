@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.streams.base import StreamSchema
 from repro.streams.generators import RandomRBFGenerator
-from repro.streams.imbalance import DynamicImbalance, StaticImbalance
+from repro.streams.imbalance import (
+    DynamicImbalance,
+    RoleSwitchingImbalance,
+    StaticImbalance,
+)
 from repro.streams.schedule import (
     DriftEvent,
     Schedule,
@@ -85,6 +90,12 @@ class TestScheduleGeometry:
         schedule = Schedule.recurring([0, 1], period=50, n_periods=4)
         assert schedule.resolved_concepts() == [0, 1, 0, 1]
         assert schedule.drift_points() == [50, 100, 150]
+
+    def test_recurring_helper_validation(self):
+        with pytest.raises(ValueError):
+            Schedule.recurring([0, 1], period=0, n_periods=2)
+        with pytest.raises(ValueError):
+            Schedule.recurring([], period=10, n_periods=2)
 
 
 class TestGroundTruth:
@@ -346,3 +357,189 @@ class TestFiniteSourceExhaustion:
         # Terminal for both paths afterwards.
         assert batch_stream.generate_batch(5)[1].shape[0] == 0
         assert batch_stream.take(5) == []
+
+
+class TestTransitions:
+    """Probability of drawing from the new concept inside a transition."""
+
+    @staticmethod
+    def _stream(transition, width):
+        schedule = Schedule.of(
+            Segment(100, concept=0),
+            Segment(200, concept=1, transition=transition, width=width),
+        )
+        return ScheduledStream(rbf_factory(), schedule, seed=0)
+
+    def test_sudden_switch_at_boundary(self):
+        stream = self._stream("sudden", 0)
+        np.testing.assert_array_equal(
+            stream._transition_probabilities(1, np.arange(5)), np.ones(5)
+        )
+
+    def test_gradual_probability_monotone(self):
+        stream = self._stream("gradual", 100)
+        probabilities = stream._transition_probabilities(1, np.arange(0, 140, 10))
+        assert list(probabilities) == sorted(probabilities)
+        assert probabilities[0] == 0.0
+        assert probabilities[-1] == 1.0
+
+    def test_incremental_probability_sigmoidal(self):
+        stream = self._stream("incremental", 100)
+        mid, done = stream._transition_probabilities(1, np.array([50, 150]))
+        assert 0.3 < mid < 0.7
+        assert done == 1.0
+
+
+class TestLocalDrift:
+    @staticmethod
+    def _factory(concept):
+        return RandomRBFGenerator(
+            n_classes=4, n_features=6, n_centroids=8, concept=concept, seed=11
+        )
+
+    def test_non_drifted_classes_keep_distribution(self):
+        stream = ScheduledStream(
+            self._factory,
+            Schedule.of(
+                Segment(200, concept=0),
+                Segment(200, concept=1, drifted_classes=(3,)),
+            ),
+            seed=5,
+        )
+        reference = self._factory(0)
+        reference_means = {}
+        for label in range(4):
+            rows = []
+            while len(rows) < 60:
+                inst = reference.next_instance()
+                if inst.y == label:
+                    rows.append(inst.x)
+            reference_means[label] = np.vstack(rows).mean(axis=0)
+
+        stream.take(400)  # move well past the drift point
+        post = {label: [] for label in range(4)}
+        while any(len(v) < 40 for v in post.values()):
+            inst = stream.next_instance()
+            if len(post[inst.y]) < 60:
+                post[inst.y].append(inst.x)
+        # Class 0 (not drifted) should stay close to the old concept mean;
+        # class 3 (drifted) should move away noticeably more.
+        stable_shift = np.linalg.norm(
+            np.vstack(post[0]).mean(axis=0) - reference_means[0]
+        )
+        drifted_shift = np.linalg.norm(
+            np.vstack(post[3]).mean(axis=0) - reference_means[3]
+        )
+        assert drifted_shift > stable_shift
+
+    def test_no_drift_before_segment_boundary(self):
+        def make(schedule):
+            return ScheduledStream(self._factory, schedule, seed=1)
+
+        drifting = make(
+            Schedule.of(
+                Segment(10_000, concept=0),
+                Segment(100, concept=1, drifted_classes=(2,)),
+            )
+        )
+        stationary = make(Schedule.of(Segment(10_000, concept=0)))
+        for inst, ref in zip(drifting.take(50), stationary.take(50)):
+            np.testing.assert_array_equal(inst.x, ref.x)
+            assert inst.y == ref.y
+
+    def test_chained_local_drifts_move_only_their_classes(self):
+        # Each source tags its rows with its concept (x = 1000 * concept + i)
+        # and cycles through the four classes, so every emitted row names
+        # the concept it was drawn from.
+        from repro.streams.base import Instance, ListStream
+
+        def factory(concept):
+            return ListStream(
+                [
+                    Instance(x=np.full(2, 1000.0 * concept + i), y=i % 4)
+                    for i in range(1_000)
+                ],
+                schema=StreamSchema(n_features=2, n_classes=4),
+            )
+
+        stream = ScheduledStream(
+            factory,
+            Schedule.of(
+                Segment(100, concept=0),
+                Segment(100, concept=4, drifted_classes=(3,)),
+                Segment(100, concept=8, drifted_classes=(2, 3)),
+                Segment(100, label_noise=0.0),
+            ),
+            seed=2,
+        )
+        features, labels = stream.generate_batch(400)
+        source = features[:, 0] // 1000
+
+        def concepts_of(lo, hi, classes):
+            rows = slice(lo, hi)
+            return set(source[rows][np.isin(labels[rows], classes)].astype(int))
+
+        assert concepts_of(0, 100, [0, 1, 2, 3]) == {0}
+        assert concepts_of(100, 200, [0, 1, 2]) == {0}
+        assert concepts_of(100, 200, [3]) == {4}
+        # The second local drift leaves classes 0 and 1 on concept 0 — not on
+        # the concept the previous segment moved class 3 to.
+        assert concepts_of(200, 400, [0, 1]) == {0}
+        assert concepts_of(200, 400, [2, 3]) == {8}
+        assert stream.drift_points == [100, 200]
+        assert stream.drifted_classes == [[3], [2, 3]]
+
+
+class TestImbalanceProfiles:
+    """Emitted class frequencies follow the schedule-level profile."""
+
+    @staticmethod
+    def _factory(concept):
+        return RandomRBFGenerator(
+            n_classes=4, n_features=5, n_centroids=8, concept=concept, seed=0
+        )
+
+    def _stream(self, profile, seed, length=4_000):
+        return ScheduledStream(
+            self._factory, Schedule.of(Segment(length)), imbalance=profile,
+            seed=seed,
+        )
+
+    def test_empirical_skew_tracks_profile(self):
+        stream = self._stream(StaticImbalance(4, 20.0), seed=1)
+        labels = np.asarray([inst.y for inst in stream.take(4000)])
+        counts = np.bincount(labels, minlength=4).astype(float)
+        # Majority (class 0) should dominate the smallest class by roughly the
+        # requested factor (allow generous tolerance for sampling noise).
+        assert counts[0] / max(counts[3], 1.0) > 5.0
+
+    def test_role_switching_profile_changes_majority(self):
+        profile = RoleSwitchingImbalance(
+            4, min_ratio=5.0, max_ratio=20.0, period=4000, switch_period=1000
+        )
+        stream = self._stream(profile, seed=2)
+        first_block = np.bincount(
+            [inst.y for inst in stream.take(900)], minlength=4
+        )
+        stream.take(200)  # cross the switch point
+        second_block = np.bincount(
+            [inst.y for inst in stream.take(900)], minlength=4
+        )
+        assert int(np.argmax(first_block)) != int(np.argmax(second_block))
+
+    def test_profile_position_identical_for_empty_and_tiny_chunks(self):
+        # The profile must be evaluated at the same emitted position whatever
+        # mix of empty, size-1, and larger chunks got the stream there.
+        def make():
+            return self._stream(DynamicImbalance(4, 2.0, 40.0, period=50), seed=9)
+
+        reference = make()
+        ref_x, ref_y = reference.generate_batch(60)
+        chunked = make()
+        parts = []
+        for size in (0, 1, 0, 13, 1, 0, 45):
+            parts.append(chunked.generate_batch(size))
+        chunk_x = np.vstack([p[0] for p in parts])
+        chunk_y = np.concatenate([p[1] for p in parts])
+        np.testing.assert_array_equal(ref_x, chunk_x)
+        np.testing.assert_array_equal(ref_y, chunk_y)

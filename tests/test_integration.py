@@ -40,8 +40,9 @@ def _scenario3_stream() -> "ScenarioStream":
     orders of magnitude longer.
     """
     from repro.streams import (
-        ImbalancedStream,
-        LocalDriftStream,
+        Schedule,
+        ScheduledStream,
+        Segment,
         StaticImbalance,
     )
     from repro.streams.generators import RandomRBFGenerator
@@ -55,20 +56,19 @@ def _scenario3_stream() -> "ScenarioStream":
             n_classes=4, n_features=8, n_centroids=12, concept=concept, seed=3
         )
 
-    drift_position = 3000
-    local = LocalDriftStream(
-        generator_factory=factory,
-        old_concept=0,
-        new_concept=6,
-        drifted_classes=[3],
-        position=drift_position,
-        seed=9,
+    stream = ScheduledStream(
+        factory,
+        Schedule.of(
+            Segment(3000, concept=0),
+            Segment(3000, concept=6, drifted_classes=(3,)),
+        ),
+        imbalance=StaticImbalance(4, 10.0),
+        seed=2,
     )
-    stream = ImbalancedStream(local, StaticImbalance(4, 10.0), seed=2)
     return ScenarioStream(
         stream=stream,
-        drift_points=[drift_position],
-        drifted_classes=[[3]],
+        drift_points=stream.drift_points,
+        drifted_classes=stream.drifted_classes,
         name="scenario3-integration",
         n_instances=6000,
     )
