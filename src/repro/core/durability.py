@@ -1,7 +1,7 @@
 """Crash-durability primitives shared by every on-disk sink.
 
-The stores (:mod:`repro.protocol.store`, :mod:`repro.protocol.sharded_store`)
-and any other component that persists results follow one write discipline:
+The results store (:mod:`repro.protocol.store`), the runner checkpoints and
+any other component that persists results follow one write discipline:
 
 * bytes are written to a ``.tmp-*`` sibling, flushed, and fsynced;
 * the tmp file is :func:`os.replace`\\ d over the final path;
@@ -9,9 +9,8 @@ and any other component that persists results follow one write discipline:
   itself can vanish on power failure even though the file's bytes were
   durable.
 
-These helpers used to live as private functions inside the JSON results
-store; they are hoisted here (stdlib-only, no heavy imports) so every layer
-— including :meth:`repro.evaluation.grid.GridResult.save_json` — can share
+These helpers are stdlib-only (no heavy imports), so every layer —
+including :meth:`repro.evaluation.grid.GridResult.save_json` — can share
 them without importing the protocol package.  The ``durability`` rule of
 :mod:`repro.analysis` enforces the pattern: any function calling
 ``os.replace`` must also call :func:`fsync_dir` (or delegate to

@@ -3,7 +3,7 @@
 The paper's evaluation is a large cross-product — 24 benchmark streams, six
 detectors, multiple repetitions — and every cell is an independent prequential
 run.  :class:`ExperimentGrid` materialises that cross-product and fans it out
-over a pluggable :class:`~repro.protocol.backends.ExecutionBackend`:
+over an :class:`~repro.protocol.backends.ExecutionBackend`:
 
 * ``backend="process"`` — one OS process per worker (default; NumPy-heavy
   cells scale with cores).  Factories must be picklable (module-level
@@ -13,11 +13,9 @@ over a pluggable :class:`~repro.protocol.backends.ExecutionBackend`:
   grid is small.
 * ``backend="serial"`` — in-process loop; deterministic ordering, easiest to
   debug.
-* ``backend="cluster"`` — a dask-style distributed cluster, degrading to
-  local execution when none is reachable.
 
-(see :mod:`repro.protocol.backends` for the registry — third-party backends
-register there and are selectable by name here).
+Any :class:`~repro.protocol.backends.ExecutionBackend` instance is accepted
+in place of a name.
 
 Every cell builds its stream *inside the worker* from ``(factory, seed)``, so
 no stream state crosses process boundaries and each cell is independently
@@ -128,7 +126,7 @@ class GridResult:
 
         Serialised via :func:`repro.core.jsonio.dumps_strict` (non-finite
         floats become ``null`` instead of bare ``NaN`` tokens) and written
-        with the stores' tmp-write → fsync → ``os.replace`` → dir-fsync
+        with the tmp-write → fsync → ``os.replace`` → dir-fsync
         pattern, so a crash mid-save can never leave a torn file where a
         previous result set used to be.
         """
@@ -269,14 +267,13 @@ def run_cell_tasks(
 ) -> list[GridCellResult]:
     """Execute cell tasks on the chosen backend, preserving input order.
 
-    ``backend`` is a registered backend name — ``"process"`` (degrades to
+    ``backend`` is a built-in backend name — ``"process"`` (degrades to
     threads, with a warning, when a payload is not picklable), ``"thread"``,
-    ``"serial"``, ``"cluster"`` (degrades to local execution when no cluster
-    is reachable) — or an :class:`~repro.protocol.backends.ExecutionBackend`
+    ``"serial"`` — or an :class:`~repro.protocol.backends.ExecutionBackend`
     instance.  ``progress`` is invoked with every finished cell; worker
     crashes surface as failed :class:`GridCellResult`\\ s rather than
-    exceptions (see :mod:`repro.protocol.backends` for the broken-pool and
-    lost-worker retry semantics).
+    exceptions (see :mod:`repro.protocol.backends` for the broken-pool
+    retry semantics).
     """
     # Imported lazily: backends live beside the protocol pipeline (which
     # imports this module), so a module-level import would be circular.
@@ -365,8 +362,8 @@ class ExperimentGrid:
         max_workers:
             Worker count for the parallel backends (default: executor's own).
         backend:
-            A registered backend name — ``"process"`` (default),
-            ``"thread"``, ``"serial"``, ``"cluster"`` — or an
+            A built-in backend name — ``"process"`` (default),
+            ``"thread"``, ``"serial"`` — or an
             :class:`~repro.protocol.backends.ExecutionBackend` instance.
             The process backend requires picklable payloads and degrades to
             threads (with a warning) when pickling fails.

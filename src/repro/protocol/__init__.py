@@ -7,15 +7,12 @@ This package wires the repo's layers into one runnable pipeline:
   that expands into content-hash-keyed cells;
 * :mod:`repro.protocol.registry` — named, picklable factories for the full
   detector zoo;
-* :mod:`repro.protocol.store` — :class:`ResultsStore`, one atomic JSON
-  record per cell, which makes interrupted runs resumable and repeated runs
-  cached; both stores share :class:`ResultsStoreProtocol`;
-* :mod:`repro.protocol.sharded_store` — :class:`ShardedResultsStore`,
-  append-only per-writer segments with atomic compaction into a sqlite
-  index, for runs past one-file-per-cell scale;
-* :mod:`repro.protocol.backends` — the pluggable
-  :class:`ExecutionBackend` registry (``serial`` / ``thread`` / ``process``
-  / ``cluster``) the pipeline fans cells out over;
+* :mod:`repro.protocol.store` — :class:`ResultsStore`, append-only
+  per-writer segments with atomic compaction into a sqlite index, which
+  makes interrupted runs resumable and repeated runs cached;
+* :mod:`repro.protocol.backends` — the :class:`ExecutionBackend` contract
+  and the three local backends (``serial`` / ``thread`` / ``process``) the
+  pipeline fans cells out over;
 * :mod:`repro.protocol.pipeline` — :class:`ProtocolPipeline`, the
   run/resume/status engine over the pluggable execution backends;
 * :mod:`repro.protocol.analysis` — folds stored records into the paper's
@@ -26,6 +23,7 @@ Run it from the command line::
     python -m repro.protocol run --preset quick --store results/
     python -m repro.protocol status --preset quick --store results/
     python -m repro.protocol report --preset quick --store results/
+    python -m repro.protocol compact --store results/
 """
 
 from repro.protocol.analysis import (
@@ -36,14 +34,11 @@ from repro.protocol.analysis import (
     render_report,
 )
 from repro.protocol.backends import (
-    ClusterBackend,
+    BACKENDS,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    backend_names,
-    make_backend,
-    register_backend,
 )
 from repro.protocol.pipeline import (
     ProtocolPipeline,
@@ -51,21 +46,15 @@ from repro.protocol.pipeline import (
     ProtocolStatus,
 )
 from repro.protocol.registry import DETECTOR_NAMES, build_detector, detector_factory
-from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolCell, ProtocolSpec, benchmark_name, build_scenario
-from repro.protocol.store import ResultsStore, ResultsStoreProtocol
+from repro.protocol.store import ResultsStore
 
 __all__ = [
-    "ClusterBackend",
+    "BACKENDS",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
-    "backend_names",
-    "make_backend",
-    "register_backend",
-    "ShardedResultsStore",
-    "ResultsStoreProtocol",
     "ProtocolAnalysis",
     "analyze_records",
     "detection_table",

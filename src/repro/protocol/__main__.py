@@ -8,21 +8,16 @@ Four store-facing subcommands drive the reproduction:
 * ``status``  — report how much of the spec the store already covers;
 * ``report``  — fold the stored records into the paper's tables and
   Friedman / Bonferroni-Dunn / Bayesian summaries;
-* ``compact`` — fold a sharded store's append-only segments into its
-  sqlite index (see ``--store-format`` below).
+* ``compact`` — fold the store's append-only segments into its sqlite
+  index; on a legacy one-file-per-cell JSON store, import its records
+  (which every other subcommand refuses until then).
 
 The spec comes either from a JSON file (``--spec``) or a built-in preset
 (``--preset paper`` / ``--preset quick`` / ``--preset extended`` — all nine
 scenario families — / ``--preset stress`` — the adversarial stressors);
 ``spec`` files are produced with ``python -m repro.protocol spec --preset
-paper > my_spec.json`` and edited freely.
-
-Scaling knobs: ``--store-format sharded`` selects the segment+index
-:class:`~repro.protocol.sharded_store.ShardedResultsStore` (the default
-``auto`` recognises an existing sharded store by its layout, so the flag is
-only needed on the first ``run``); ``--backend cluster`` executes cells on a
-dask-style distributed cluster (``--cluster-address``) and **degrades to
-local execution with a warning** when no cluster is reachable.
+paper > my_spec.json`` and edited freely.  ``run --backend`` picks one of
+the local execution backends (``serial`` / ``thread`` / ``process``).
 """
 
 from __future__ import annotations
@@ -32,11 +27,10 @@ import sys
 from pathlib import Path
 
 from repro.protocol.analysis import analyze_records, render_report
-from repro.protocol.backends import backend_names, make_backend
+from repro.protocol.backends import BACKENDS
 from repro.protocol.pipeline import ProtocolPipeline
-from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolSpec
-from repro.protocol.store import ResultsStore, ResultsStoreProtocol
+from repro.protocol.store import ResultsStore
 
 _PRESETS = {
     "paper": ProtocolSpec.paper,
@@ -99,76 +93,13 @@ def _load_spec_with_overrides(args: argparse.Namespace) -> ProtocolSpec:
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", type=Path, required=True, help="results directory")
-    parser.add_argument(
-        "--store-format",
-        choices=("auto", "json", "sharded"),
-        default="auto",
-        help="results-store layout: 'json' = one atomic file per cell, "
-        "'sharded' = append-only segments + sqlite index (use for runs "
-        "beyond a few thousand cells; compact with the 'compact' "
-        "subcommand).  'auto' (default) recognises an existing store by "
-        "its layout and otherwise uses 'json'; an explicit format that "
-        "contradicts an existing store's layout is refused rather than "
-        "hiding its records",
-    )
 
 
-def _sharded_layout_present(path: Path) -> bool:
-    """An index, or at least one actual segment file — an *empty*
-    ``segments/`` directory alone is not proof (it could be damage from an
-    aborted invocation against a JSON store)."""
-    if (path / "index.sqlite").is_file():
-        return True
-    segments = path / "segments"
-    return segments.is_dir() and any(segments.glob("seg-*.jsonl"))
-
-
-def _json_records_present(path: Path) -> bool:
-    return any(
-        entry.name != "spec.json" and not entry.name.startswith(".tmp-")
-        for entry in path.glob("*.json")
-    )
-
-
-def _open_store(args: argparse.Namespace) -> ResultsStoreProtocol:
-    path: Path = args.store
-    fmt: str = args.store_format
-    has_sharded = _sharded_layout_present(path)
-    has_json = _json_records_present(path)
-    if fmt == "auto":
-        if has_sharded:
-            fmt = "sharded"
-        elif has_json:
-            fmt = "json"
-        else:
-            # A bare segments/ dir with no records on either side: a fresh
-            # sharded store whose first write hasn't landed yet.
-            fmt = "sharded" if (path / "segments").is_dir() else "json"
-    elif fmt == "sharded" and has_json and not has_sharded:
-        # Opening a populated JSON store as sharded would hide every
-        # existing record and silently recompute the whole spec.
-        raise SystemExit(
-            f"{path} already holds a one-file-per-cell JSON store; opening "
-            "it with --store-format sharded would hide every existing "
-            "record.  Use --store-format auto/json, or point --store at a "
-            "fresh directory."
-        )
-    elif fmt == "json" and has_sharded:
-        raise SystemExit(
-            f"{path} already holds a sharded store; opening it with "
-            "--store-format json would hide every existing record.  Use "
-            "--store-format auto/sharded, or point --store at a fresh "
-            "directory."
-        )
-    if fmt == "sharded":
-        return ShardedResultsStore(path)
-    return ResultsStore(path)
-
-
-def _make_backend(args: argparse.Namespace):
-    if args.backend == "cluster":
-        return make_backend("cluster", address=args.cluster_address)
-    return args.backend
+def _open_store(args: argparse.Namespace) -> ResultsStore:
+    try:
+        return ResultsStore(args.store)
+    except ValueError as error:  # a legacy JSON store awaiting `compact`
+        raise SystemExit(str(error)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,17 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=tuple(backend_names()),
+        choices=sorted(BACKENDS),
         default="process",
-        help="execution backend (default: process).  'cluster' runs cells "
-        "on a dask-style distributed cluster and degrades to local "
-        "execution, with a warning, when no cluster is reachable",
-    )
-    run.add_argument(
-        "--cluster-address",
-        default=None,
-        help="scheduler address for --backend cluster "
-        "(e.g. tcp://host:8786; default: the client library's default)",
+        help="execution backend (default: process)",
     )
     run.add_argument(
         "--max-cells",
@@ -245,8 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compact = sub.add_parser(
         "compact",
-        help="fold a sharded store's segments into its sqlite index "
-        "(atomic; run while no other process is writing)",
+        help="fold the store's segments into its sqlite index, importing a "
+        "legacy one-file-per-cell JSON store's records (atomic; run while "
+        "no other process is writing)",
     )
     _add_store_arguments(compact)
 
@@ -272,7 +196,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     summary = pipeline.run(
         max_workers=args.workers,
-        backend=_make_backend(args),
+        backend=args.backend,
         progress=None if args.quiet else progress,
         retry_failed=not args.no_retry_failed,
         max_cells=args.max_cells,
@@ -303,16 +227,8 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _command_compact(args: argparse.Namespace) -> int:
-    store = _open_store(args)
-    if not isinstance(store, ShardedResultsStore):
-        print(
-            f"{args.store} is not a sharded store; nothing to compact "
-            "(pass --store-format sharded on the first run to create one)",
-            file=sys.stderr,
-        )
-        return 2
-    index = store.compact()
-    print(f"compacted {len(store)} records into {index}")
+    store = ResultsStore.compact_at(args.store)
+    print(f"compacted {len(store)} records into {store.index_path}")
     return 0
 
 

@@ -5,19 +5,13 @@ cells, each pending cell becomes a :class:`~repro.evaluation.grid.CellTask`
 (scenario stream factory from :mod:`repro.streams.scenarios`, detector
 factory from the registry, the paper's default classifier), a pluggable
 :class:`~repro.protocol.backends.ExecutionBackend` fans the tasks out, and
-every finished cell is **immediately** persisted into the results store
-before any progress callback runs.  Because persistence is per-cell and
-atomic (or append-durable, for the sharded store), a run killed at any
-point loses at most the cells in flight; re-invoking the pipeline skips
-every stored cell and recomputes only the rest.
-
-The pipeline consumes stores only through
-:class:`~repro.protocol.store.ResultsStoreProtocol` — the single-file
-:class:`~repro.protocol.store.ResultsStore` and the segment-based
-:class:`~repro.protocol.sharded_store.ShardedResultsStore` are
-interchangeable, and ``pending()``/``status()`` are one bulk
-:meth:`~repro.protocol.store.ResultsStoreProtocol.statuses` scan rather
-than a per-key ``get`` loop.
+every finished cell is **immediately** persisted into the
+:class:`~repro.protocol.store.ResultsStore` before any progress callback
+runs.  Because persistence is per-cell and append-durable, a run killed at
+any point loses at most the cells in flight; re-invoking the pipeline skips
+every stored cell and recomputes only the rest.  ``pending()``/``status()``
+are one bulk :meth:`~repro.protocol.store.ResultsStore.statuses` scan
+rather than a per-key ``get`` loop.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from repro.evaluation.results import ResultTable
 from repro.protocol.backends import ExecutionBackend
 from repro.protocol.registry import detector_factory
 from repro.protocol.spec import ProtocolCell, ProtocolSpec, callable_label
-from repro.protocol.store import ResultsStore, ResultsStoreProtocol
+from repro.protocol.store import ResultsStore
 
 __all__ = ["ProtocolStatus", "ProtocolRunSummary", "ProtocolPipeline"]
 
@@ -94,10 +88,8 @@ class ProtocolPipeline:
     spec:
         The protocol to execute.
     store:
-        Any :class:`~repro.protocol.store.ResultsStoreProtocol`
-        implementation (:class:`ResultsStore`,
-        :class:`~repro.protocol.sharded_store.ShardedResultsStore`, ...).
-        A bare directory path means a single-file :class:`ResultsStore`.
+        A :class:`~repro.protocol.store.ResultsStore`, or the directory of
+        one.
     classifier_factory:
         Base classifier for every cell; defaults to the paper's
         cost-sensitive perceptron tree.  Must be picklable for the process
@@ -107,7 +99,7 @@ class ProtocolPipeline:
     def __init__(
         self,
         spec: ProtocolSpec,
-        store: "ResultsStoreProtocol | str | os.PathLike[str]",
+        store: "ResultsStore | str | os.PathLike[str]",
         classifier_factory: Callable | None = None,
     ) -> None:
         self._spec = spec
@@ -124,7 +116,7 @@ class ProtocolPipeline:
         return self._spec
 
     @property
-    def store(self) -> ResultsStoreProtocol:
+    def store(self) -> ResultsStore:
         return self._store
 
     # -------------------------------------------------------------- planning
@@ -138,7 +130,7 @@ class ProtocolPipeline:
     def pending(self, retry_failed: bool = True) -> list[tuple[ProtocolCell, str]]:
         """Cells with no usable stored record (optionally retrying failures).
 
-        One bulk :meth:`~repro.protocol.store.ResultsStoreProtocol.statuses`
+        One bulk :meth:`~repro.protocol.store.ResultsStore.statuses`
         scan of the store, not a per-key ``get`` loop.
         """
         statuses = self._store.statuses()
@@ -154,10 +146,9 @@ class ProtocolPipeline:
     ) -> CellTask:
         """The fully-specified, picklable unit of work for one cell.
 
-        With ``checkpoint_every`` set (and a store exposing the checkpoint
-        side area), the runner periodically persists a mid-cell
-        :class:`~repro.evaluation.checkpoint.RunnerCheckpoint` under the
-        cell's key and resumes from it on re-execution — the checkpoint path
+        With ``checkpoint_every`` set, the runner periodically persists a
+        mid-cell :class:`~repro.evaluation.checkpoint.RunnerCheckpoint` under
+        the cell's key and resumes from it on re-execution — the checkpoint path
         crosses the process boundary as a plain string, so every backend
         stays picklable.
         """
@@ -172,11 +163,11 @@ class ProtocolPipeline:
             "drift_tolerance": self._spec.drift_tolerance,
         }
         if checkpoint_every is not None:
-            path_for = getattr(self._store, "checkpoint_path_for", None)
-            if path_for is not None:
-                key = self._spec.cell_key(cell, self._classifier_label)
-                run_kwargs["checkpoint_path"] = str(path_for(key))
-                run_kwargs["checkpoint_every"] = int(checkpoint_every)
+            key = self._spec.cell_key(cell, self._classifier_label)
+            run_kwargs["checkpoint_path"] = str(
+                self._store.checkpoint_path_for(key)
+            )
+            run_kwargs["checkpoint_every"] = int(checkpoint_every)
         return CellTask(
             cell=GridCell(
                 stream=cell.benchmark, detector=cell.detector, seed=cell.seed
@@ -202,8 +193,8 @@ class ProtocolPipeline:
 
         Completed cells (a readable stored record without an error) are
         **never recomputed**; re-invoking after an interruption finishes only
-        the remainder.  ``backend`` is a registered backend name (``serial``
-        / ``thread`` / ``process`` / ``cluster``) or an
+        the remainder.  ``backend`` is a built-in backend name (``serial``
+        / ``thread`` / ``process``) or an
         :class:`~repro.protocol.backends.ExecutionBackend` instance;
         ``max_cells`` caps how many pending cells this invocation takes on
         (useful for incremental/smoke runs).  ``checkpoint_every`` makes
@@ -237,29 +228,28 @@ class ProtocolPipeline:
         }
         executed_keys: list[str] = []
 
-        discard_checkpoint = (
-            getattr(self._store, "discard_checkpoint", None)
-            if checkpoint_every is not None
-            else None
-        )
-
         def persist(cell_result: GridCellResult) -> None:
             grid_cell = cell_result.cell
             coords = (grid_cell.stream, grid_cell.detector, grid_cell.seed)
             key = key_of[coords]
             self._store.put(key, self._record(cell_of[coords], key, cell_result))
-            if discard_checkpoint is not None:
+            if checkpoint_every is not None:
                 # The cell's record is durable; its mid-cell checkpoint is
                 # now stale and must not resurrect on a later retry.
-                discard_checkpoint(key)
+                self._store.discard_checkpoint(key)
             executed_keys.append(key)
             if progress is not None:
                 progress(cell_result)
 
         tasks = [self.task_for(cell, checkpoint_every) for cell, _ in todo]
-        results = run_cell_tasks(
-            tasks, backend=backend, max_workers=max_workers, progress=persist
-        )
+        try:
+            results = run_cell_tasks(
+                tasks, backend=backend, max_workers=max_workers, progress=persist
+            )
+        finally:
+            # persist() is this run's only writer; close the segment it
+            # opened so no open file outlives the run.
+            self._store.close()
         n_failed = sum(1 for cell_result in results if not cell_result.ok)
         return ProtocolRunSummary(
             n_cells=n_total,
@@ -286,7 +276,7 @@ class ProtocolPipeline:
         return record
 
     # ------------------------------------------------------------ inspection
-    def status(self, retry_failed: bool = True) -> ProtocolStatus:
+    def status(self) -> ProtocolStatus:
         """How much of the spec the store already covers (one bulk scan)."""
         statuses = self._store.statuses()
         n_completed = 0

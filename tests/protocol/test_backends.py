@@ -1,15 +1,6 @@
-"""The pluggable execution-backend layer: registry, fallbacks, cluster.
-
-The cluster backend is exercised without a real cluster: any object with the
-``submit`` / ``scheduler_info`` / ``close`` surface is a valid client, so
-fakes drive the lifecycle paths — explicit connect, worker health checks,
-per-cell retry on lost workers, and graceful degradation-to-local both when
-no cluster is reachable and when the cluster dies mid-run.
-"""
+"""The execution-backend layer: name lookup, instances, fallbacks."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -23,13 +14,11 @@ from repro.evaluation.grid import (
     tasks_picklable,
 )
 from repro.protocol.backends import (
-    ClusterBackend,
+    BACKENDS,
     ExecutionBackend,
+    ProcessBackend,
     SerialBackend,
-    WorkerLost,
-    backend_names,
-    make_backend,
-    register_backend,
+    ThreadBackend,
     resolve_backend,
 )
 from repro.streams.scenarios import make_artificial_stream
@@ -51,6 +40,15 @@ def tiny_stream(seed: int):
     )
 
 
+#: Record fields that legitimately differ between two executions of the
+#: same cell (timing); everything else must match key-for-key.
+_VOLATILE = ("wall_time", "detector_time", "classifier_time")
+
+
+def _stable(record: dict) -> dict:
+    return {k: v for k, v in record.items() if k not in _VOLATILE}
+
+
 def _task(name: str, seed: int = 0, **kwargs) -> CellTask:
     return CellTask(
         cell=GridCell(stream=name, detector="FHDDM", seed=seed),
@@ -62,16 +60,35 @@ def _task(name: str, seed: int = 0, **kwargs) -> CellTask:
     )
 
 
-# ---------------------------------------------------------------- registry
-def test_builtin_backends_are_registered():
-    assert backend_names() == ["cluster", "process", "serial", "thread"]
+# ------------------------------------------------------------- name lookup
+def test_builtin_backends_are_named():
+    assert sorted(BACKENDS) == ["process", "serial", "thread"]
+    with pytest.raises(TypeError):
+        BACKENDS["extra"] = SerialBackend  # fixed, not a registry
 
 
 def test_unknown_backend_is_a_value_error():
     with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("bogus")
+        resolve_backend("cluster")
     with pytest.raises(ValueError, match="unknown backend"):
         run_cell_tasks([_task("a")], backend="bogus")
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_every_named_backend_runs_cells_in_input_order(name):
+    """Each built-in backend returns one result per task in input order,
+    reports every finished cell to ``progress``, and computes the records a
+    plain serial loop does (timings aside)."""
+    tasks = [_task("a", seed=0), _task("b", seed=1), _task("c", seed=2)]
+    finished = []
+    results = run_cell_tasks(
+        tasks, backend=name, max_workers=2, progress=finished.append
+    )
+    assert [result.cell for result in results] == [task.cell for task in tasks]
+    assert all(result.ok for result in results)
+    assert sorted(result.cell.stream for result in finished) == ["a", "b", "c"]
+    expected = [_stable(cell_record(task.execute())) for task in tasks]
+    assert [_stable(cell_record(result)) for result in results] == expected
 
 
 def test_resolve_accepts_instances_and_rejects_junk():
@@ -80,28 +97,6 @@ def test_resolve_accepts_instances_and_rejects_junk():
     assert isinstance(resolve_backend("serial"), SerialBackend)
     with pytest.raises(TypeError):
         resolve_backend(42)
-
-
-def test_third_party_backends_register_and_run():
-    class CountingBackend(SerialBackend):
-        name = "counting"
-        calls = 0
-
-        def run(self, tasks, *, max_workers=None, progress=None):
-            CountingBackend.calls += 1
-            return super().run(tasks, max_workers=max_workers, progress=progress)
-
-    register_backend("counting", CountingBackend)
-    try:
-        assert "counting" in backend_names()
-        assert isinstance(make_backend("counting"), ExecutionBackend)
-        results = run_cell_tasks([_task("a")], backend="counting")
-        assert CountingBackend.calls == 1
-        assert results[0].ok
-    finally:
-        from repro.protocol import backends as backends_module
-
-        backends_module._REGISTRY.pop("counting", None)
 
 
 # ----------------------------------------------------- picklability probing
@@ -153,161 +148,10 @@ def test_cell_record_replaces_nonfinite_floats():
     json.loads(json.dumps(record), parse_constant=reject)
 
 
-# ------------------------------------------------------------ fake clusters
-class FakeFuture:
-    def __init__(self, compute):
-        self._compute = compute
-
-    def result(self):
-        return self._compute()
-
-
-class FakeClient:
-    """Duck-typed distributed.Client: runs submissions inline on result()."""
-
-    def __init__(self, n_workers=2, fail_plan=None):
-        self.n_workers = n_workers
-        self.fail_plan = dict(fail_plan or {})  # cell stream -> failures left
-        self.submissions = 0
-        self.closed = False
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        cell = args[0]
-
-        def compute():
-            if self.fail_plan.get(cell.stream, 0) > 0:
-                self.fail_plan[cell.stream] -= 1
-                raise WorkerLost(f"worker running {cell.stream} died")
-            return fn(*args)
-
-        return FakeFuture(compute)
-
-    def scheduler_info(self):
-        return {"workers": {f"w{i}": {} for i in range(self.n_workers)}}
-
-    def close(self):
-        self.closed = True
-
-
-def test_cluster_runs_cells_and_closes_client():
-    client = FakeClient()
-    backend = ClusterBackend(client_factory=lambda: client)
-    results = backend.run([_task("a"), _task("b", seed=1)])
-    assert [r.ok for r in results] == [True, True]
-    assert client.submissions == 2
-    assert client.closed
-
-
-def test_cluster_retries_cells_on_lost_workers():
-    client = FakeClient(fail_plan={"flaky": 1})
-    backend = ClusterBackend(client_factory=lambda: client)
-    results = backend.run([_task("flaky"), _task("ok", seed=1)])
-    assert [r.ok for r in results] == [True, True]
-    assert client.submissions == 3  # the lost cell was resubmitted once
-
-
-def test_cluster_writes_off_repeat_offenders_only():
-    client = FakeClient(fail_plan={"doomed": 99})
-    backend = ClusterBackend(client_factory=lambda: client, max_retries=2)
-    results = backend.run([_task("doomed"), _task("ok", seed=1)])
-    by_stream = {r.cell.stream: r for r in results}
-    assert by_stream["ok"].ok
-    assert not by_stream["doomed"].ok
-    assert "worker running doomed died" in by_stream["doomed"].error
-
-
-def test_cluster_degrades_to_local_when_unreachable():
-    def no_cluster():
-        raise ConnectionRefusedError("nothing listening")
-
-    backend = ClusterBackend(
-        client_factory=no_cluster, fallback="serial", address="tcp://nowhere:1"
-    )
-    with pytest.warns(RuntimeWarning, match="no cluster reachable"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
-
-
-def test_cluster_degrades_when_scheduler_has_no_workers():
-    client = FakeClient(n_workers=0)
-    backend = ClusterBackend(client_factory=lambda: client, fallback="serial")
-    with pytest.warns(RuntimeWarning, match="no cluster reachable"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
-    assert client.closed  # the useless client was not leaked
-
-
-def test_cluster_degrades_remainder_when_cluster_dies_mid_run():
-    class DyingClient(FakeClient):
-        def scheduler_info(self):
-            # Healthy at connect time, gone by the first health re-check.
-            self.n_workers -= 1
-            return super().scheduler_info()
-
-    client = DyingClient(n_workers=2, fail_plan={"flaky": 1})
-    backend = ClusterBackend(client_factory=lambda: client, fallback="serial")
-    with pytest.warns(RuntimeWarning, match="became unhealthy"):
-        results = backend.run([_task("flaky"), _task("ok", seed=1)])
-    assert [r.ok for r in results] == [True, True]
-
-
-def test_cluster_gathers_in_completion_order():
-    """A finished cell must reach progress (and thus be persisted) the
-    moment it completes, not wait behind an earlier-submitted cell still
-    running — otherwise a kill loses completed-but-ungathered results."""
-
-    class ReorderingClient(FakeClient):
-        def __init__(self):
-            super().__init__()
-            self.gathered = []
-
-        def submit(self, fn, *args):
-            self.submissions += 1
-            cell = args[0]
-            client = self
-
-            class PollableFuture:
-                def done(self):
-                    if cell.stream == "slow":
-                        # "slow" only finishes after "fast" was gathered.
-                        return "fast" in client.gathered
-                    return True
-
-                def result(self):
-                    client.gathered.append(cell.stream)
-                    return fn(*args)
-
-            return PollableFuture()
-
-    client = ReorderingClient()
-    backend = ClusterBackend(client_factory=lambda: client, poll_interval=0.001)
-    finished = []
-    results = backend.run(
-        [_task("slow"), _task("fast", seed=1)],
-        progress=lambda r: finished.append(r.cell.stream),
-    )
-    assert finished == ["fast", "slow"]  # completion order, not submission
-    assert [r.cell.stream for r in results] == ["slow", "fast"]  # input order
-    assert all(r.ok for r in results)
-
-
-def test_cluster_default_factory_degrades_without_dask():
-    """No dask in the environment: the real default path must warn + run."""
-    pytest.importorskip  # (dask is deliberately NOT importable here)
-    try:
-        import distributed  # noqa: F401
-
-        pytest.skip("dask.distributed installed; default factory would connect")
-    except ImportError:
-        pass
-    backend = ClusterBackend(fallback="serial")
-    with pytest.warns(RuntimeWarning, match="degrading to local 'serial'"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
-
-
-def test_pipeline_accepts_backend_instances(tmp_path):
+@pytest.mark.parametrize(
+    "backend_class", [SerialBackend, ThreadBackend, ProcessBackend]
+)
+def test_pipeline_accepts_backend_instances(tmp_path, backend_class):
     from repro.protocol.pipeline import ProtocolPipeline
     from repro.protocol.spec import ProtocolSpec
 
@@ -317,12 +161,19 @@ def test_pipeline_accepts_backend_instances(tmp_path):
     spec.pretrain_size = 50
     spec.drift_tolerance = 200
     spec.__post_init__()
-    client = FakeClient()
-    backend = ClusterBackend(client_factory=lambda: client)
+
+    class CountingBackend(backend_class):
+        calls = 0
+
+        def run(self, tasks, *, max_workers=None, progress=None):
+            CountingBackend.calls += 1
+            return super().run(tasks, max_workers=max_workers, progress=progress)
+
+    backend = CountingBackend()
+    assert isinstance(backend, ExecutionBackend)
     pipeline = ProtocolPipeline(spec, str(tmp_path / "results"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a healthy fake cluster never warns
-        summary = pipeline.run(backend=backend)
+    summary = pipeline.run(backend=backend)
+    assert CountingBackend.calls == 1
     assert summary.n_executed == 2
     assert summary.n_failed == 0
     assert pipeline.status().done

@@ -6,7 +6,7 @@ and the pipeline must resume that cell from its runner checkpoint — finishing
 with records key-for-key identical (timings aside) to a run that was never
 killed, and with the checkpoint side-area empty again.
 
-Also pinned here: the checkpoint side-area contract of both store backends —
+Also pinned here: the checkpoint side-area contract of the results store —
 checkpoints live under ``<root>/checkpoints/`` and are invisible to the
 record namespace (``records()``, ``statuses()``, ``keys()``).
 """
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.store import ResultsStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -38,15 +37,30 @@ def _stable(record: dict) -> dict:
 
 
 # ---------------------------------------------------------- store side-area
-@pytest.mark.parametrize("backend", [ResultsStore, ShardedResultsStore])
-def test_checkpoint_side_area_roundtrip(tmp_path, backend):
-    store = backend(tmp_path / "store")
+#: Each side-area test runs on the live store and again after a compaction
+#: (plus a fresh instance, as the resuming process would open it): folding
+#: segments into the index must neither touch nor expose checkpoints.
+LAYOUTS = ("live", "compacted")
+
+
+def _settle(store: ResultsStore, layout: str) -> ResultsStore:
+    if layout == "live":
+        return store
+    store.compact()
+    return ResultsStore(store.root)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_checkpoint_side_area_roundtrip(tmp_path, layout):
+    store = ResultsStore(tmp_path / "store")
     payload = {"kind": "RunnerCheckpoint", "version": 1, "produced": 256}
 
     assert store.get_checkpoint("cell/a:1") is None
     path = store.checkpoint_path_for("cell/a:1")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload), encoding="utf-8")
+    store = _settle(store, layout)
+    assert store.checkpoint_path_for("cell/a:1") == path
     assert store.get_checkpoint("cell/a:1") == payload
 
     # Path separators are flattened exactly like record keys are.
@@ -58,13 +72,14 @@ def test_checkpoint_side_area_roundtrip(tmp_path, backend):
     assert not store.discard_checkpoint("cell/a:1")  # idempotent
 
 
-@pytest.mark.parametrize("backend", [ResultsStore, ShardedResultsStore])
-def test_checkpoints_are_invisible_to_the_record_namespace(tmp_path, backend):
-    store = backend(tmp_path / "store")
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_checkpoints_are_invisible_to_the_record_namespace(tmp_path, layout):
+    store = ResultsStore(tmp_path / "store")
     store.put("done-cell", {"status": "ok", "pmauc": 0.5})
     path = store.checkpoint_path_for("half-done-cell")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text('{"kind": "RunnerCheckpoint"}', encoding="utf-8")
+    store = _settle(store, layout)
 
     assert store.keys() == ["done-cell"]
     assert dict(store.records()) == {"done-cell": {"status": "ok", "pmauc": 0.5}}
@@ -74,12 +89,13 @@ def test_checkpoints_are_invisible_to_the_record_namespace(tmp_path, backend):
     assert store.get_checkpoint("half-done-cell") is not None
 
 
-@pytest.mark.parametrize("backend", [ResultsStore, ShardedResultsStore])
-def test_corrupt_checkpoint_reads_as_absent(tmp_path, backend):
-    store = backend(tmp_path / "store")
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_corrupt_checkpoint_reads_as_absent(tmp_path, layout):
+    store = ResultsStore(tmp_path / "store")
     path = store.checkpoint_path_for("cell")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("{not json", encoding="utf-8")
+    store = _settle(store, layout)
     assert store.get_checkpoint("cell") is None
     assert store.discard_checkpoint("cell")  # cleanup still works
 

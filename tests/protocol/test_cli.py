@@ -7,6 +7,7 @@ unfinished cells.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -16,6 +17,9 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.core.jsonio import dumps_strict
+from repro.protocol.store import ResultsStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -155,182 +159,88 @@ def test_report_on_empty_store_fails_gracefully(tmp_path):
     assert "no completed cells" in report.stderr
 
 
-def test_sharded_round_trip_compact_and_report_agree_with_json(tmp_path):
-    """The same spec into both store formats: status and report agree, and
-    compaction changes the layout, not the answers."""
-    json_store = tmp_path / "json-results"
-    sharded_store = tmp_path / "sharded-results"
-    run_cli(
-        "run", "--preset", "quick", "--store", str(json_store),
-        "--backend", "serial",
-    )
+def test_cluster_backend_choice_is_a_usage_error(tmp_path):
+    """Three local backends: asking for a cluster is rejected up front,
+    before anything touches the store."""
+    store = tmp_path / "results"
     out = run_cli(
-        "run", "--preset", "quick", "--store", str(sharded_store),
-        "--store-format", "sharded", "--backend", "serial",
+        "run", "--preset", "quick", "--store", str(store),
+        "--backend", "cluster", check=False,
     )
-    assert "2 executed" in out.stdout
-    assert (sharded_store / "segments").is_dir()
-    assert not list(sharded_store.glob("*.json.json"))  # no per-cell files
+    assert out.returncode == 2
+    assert "invalid choice: 'cluster'" in out.stderr
+    assert not store.exists()
 
-    # --store-format auto recognises the layout from here on.
-    status = run_cli("status", "--preset", "quick", "--store", str(sharded_store))
-    assert "2 completed, 0 failed, 0 pending" in status.stdout
 
-    compact = run_cli("compact", "--store", str(sharded_store))
+#: The complete option surface of the subcommands that touch the store:
+#: one store format and local backends only, so no format or cluster knobs.
+_OPTIONS = {
+    "run": {
+        "--help", "--spec", "--preset", "--chunk-size", "--batch-mode",
+        "--no-batch-mode", "--store", "--workers", "--backend",
+        "--max-cells", "--no-retry-failed", "--checkpoint-every", "--quiet",
+    },
+    "compact": {"--help", "--store"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_subcommand_options_are_exactly_the_supported_set(command):
+    from repro.protocol.__main__ import _build_parser
+
+    (subparsers,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert options == _OPTIONS[command]
+
+
+def test_legacy_json_store_is_refused_until_compact_imports_it(tmp_path):
+    """A store in the legacy one-file-per-cell layout: every subcommand but
+    ``compact`` refuses it, without touching it; ``compact`` imports it, and
+    from then on it is fully cached and reports byte-identically."""
+    store = tmp_path / "results"
+    run_cli("run", "--preset", "quick", "--store", str(store), "--backend", "serial")
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    for key, record in ResultsStore(store).records():
+        (legacy / f"{key}.json").write_text(
+            dumps_strict(record, indent=2, sort_keys=True), encoding="utf-8"
+        )
+
+    for command in ("run", "status", "report"):
+        out = run_cli(
+            command, "--preset", "quick", "--store", str(legacy), check=False
+        )
+        assert out.returncode != 0, command
+        flattened = " ".join(out.stderr.split())
+        assert f"python -m repro.protocol compact --store {legacy}" in flattened
+        assert sorted(path.name for path in legacy.iterdir()) == sorted(
+            f"{key}.json" for key in ResultsStore(store).keys()
+        ), command
+
+    compact = run_cli("compact", "--store", str(legacy))
     assert "compacted 2 records" in compact.stdout
-    assert (sharded_store / "index.sqlite").is_file()
-    assert not list((sharded_store / "segments").iterdir())
-
-    status = run_cli("status", "--preset", "quick", "--store", str(sharded_store))
-    assert "2 completed, 0 failed, 0 pending" in status.stdout
-
-    json_report = run_cli("report", "--preset", "quick", "--store", str(json_store))
-    sharded_report = run_cli(
-        "report", "--preset", "quick", "--store", str(sharded_store)
-    )
-    assert sharded_report.stdout == json_report.stdout
-
-    # A re-run on the compacted store is fully cached.
     again = run_cli(
-        "run", "--preset", "quick", "--store", str(sharded_store),
-        "--backend", "serial",
+        "run", "--preset", "quick", "--store", str(legacy), "--backend", "serial"
     )
     assert "2 cached, 0 executed" in again.stdout
 
-
-def test_sharded_flag_refuses_existing_json_store(tmp_path):
-    """--store-format sharded against a populated JSON store must refuse —
-    and must NOT scaffold segments/ or index.sqlite, which would make auto
-    treat the store as sharded and hide every existing record."""
-    store = tmp_path / "results"
-    run_cli("run", "--preset", "quick", "--store", str(store), "--backend", "serial")
-
-    for command in ("status", "report", "compact"):
-        args = [command]
-        if command != "compact":
-            args += ["--preset", "quick"]
-        args += ["--store", str(store), "--store-format", "sharded"]
-        out = run_cli(*args, check=False)
-        assert out.returncode != 0, command
-        assert "JSON store" in out.stderr, command
-        assert not (store / "segments").exists(), command
-        assert not (store / "index.sqlite").exists(), command
-
-    # The store is unharmed: auto still sees every record.
-    status = run_cli("status", "--preset", "quick", "--store", str(store))
-    assert "2 completed, 0 failed, 0 pending" in status.stdout
-
-
-def test_json_flag_refuses_existing_sharded_store(tmp_path):
-    store = tmp_path / "results"
-    run_cli(
-        "run", "--preset", "quick", "--store", str(store),
-        "--store-format", "sharded", "--backend", "serial",
-    )
-    out = run_cli(
-        "status", "--preset", "quick", "--store", str(store),
-        "--store-format", "json", check=False,
-    )
-    assert out.returncode != 0
-    assert "sharded store" in out.stderr
-
-
-def test_auto_prefers_json_records_over_empty_segments_dir(tmp_path):
-    """A stray empty segments/ dir (damage from the old eager-mkdir bug)
-    must not make auto hide an existing JSON store's records."""
-    store = tmp_path / "results"
-    run_cli("run", "--preset", "quick", "--store", str(store), "--backend", "serial")
-    (store / "segments").mkdir()
-    status = run_cli("status", "--preset", "quick", "--store", str(store))
-    assert "2 completed, 0 failed, 0 pending" in status.stdout
-
-
-def test_compact_refuses_non_sharded_store(tmp_path):
-    store = tmp_path / "results"
-    run_cli("run", "--preset", "quick", "--store", str(store), "--backend", "serial")
-    out = run_cli("compact", "--store", str(store), check=False)
-    assert out.returncode == 2
-    assert "not a sharded store" in out.stderr
-
-
-def test_run_help_documents_scaling_flags():
-    out = run_cli("run", "--help")
-    assert "--store-format" in out.stdout
-    assert "--cluster-address" in out.stdout
-    # argparse re-wraps help text, so compare whitespace-normalised.
-    flattened = " ".join(out.stdout.split())
-    assert "degrades to local execution" in flattened
-    assert "sharded" in flattened
-
-
-def test_killed_run_resumes_by_skipping_completed_cells(tmp_path):
-    """SIGKILL the CLI after the first record lands; re-invoke; verify resume."""
-    store = tmp_path / "results"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.protocol",
-            "run",
-            "--preset",
-            "quick",
-            "--store",
-            str(store),
-            "--backend",
-            "serial",
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-    def completed_records() -> list[Path]:
-        return [
-            path
-            for path in store.glob("*.json")
-            if path.name != "spec.json" and not path.name.startswith(".tmp-")
-        ]
-
-    try:
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if completed_records():
-                break
-            if proc.poll() is not None:
-                break
-            time.sleep(0.005)
-        else:
-            pytest.fail("no record appeared within the deadline")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
-
-    survivors = completed_records()
-    if len(survivors) >= 2:
-        pytest.skip("run finished before the kill landed; resume not observable")
-    assert len(survivors) == 1
-    fingerprint = {
-        path.name: (path.stat().st_mtime_ns, path.read_bytes())
-        for path in survivors
-    }
-
-    # Re-invoke: must complete by executing only the unfinished cell.
-    out = run_cli(
-        "run", "--preset", "quick", "--store", str(store), "--backend", "serial"
-    )
-    assert "1 cached, 1 executed" in out.stdout
-    assert "2 completed, 0 failed, 0 pending" in out.stdout
-
-    for name, (mtime, payload) in fingerprint.items():
-        path = store / name
-        assert path.stat().st_mtime_ns == mtime, f"{name} was recomputed"
-        assert path.read_bytes() == payload
+    # Compacting the original store changes its layout, not its answers.
+    compact = run_cli("compact", "--store", str(store))
+    assert "compacted 2 records" in compact.stdout
+    assert (store / "index.sqlite").is_file()
+    assert not list((store / "segments").iterdir())
+    report = run_cli("report", "--preset", "quick", "--store", str(store))
+    imported = run_cli("report", "--preset", "quick", "--store", str(legacy))
+    assert imported.stdout == report.stdout
 
 
 #: Record fields that legitimately differ between two executions of the
@@ -342,14 +252,12 @@ def _stable(record: dict) -> dict:
     return {k: v for k, v in record.items() if k not in _VOLATILE}
 
 
-def test_killed_sharded_run_resumes_and_matches_json_store(tmp_path):
-    """SIGKILL a --store-format sharded run mid-flight (possibly mid-append:
+def test_killed_run_resumes_by_skipping_completed_cells(tmp_path):
+    """SIGKILL the CLI after the first record lands (possibly mid-append:
     the torn segment tail must read as absent, not corrupt the store);
-    re-invoke; the recovered record set must equal a single-file-store run's
-    key-for-key, modulo timing fields."""
-    from repro.protocol.sharded_store import ShardedResultsStore
-
-    store = tmp_path / "sharded-results"
+    re-invoke; only the unfinished cell runs, and the recovered record set
+    equals an uninterrupted run's key-for-key, modulo timing fields."""
+    store = tmp_path / "results"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.Popen(
@@ -357,7 +265,6 @@ def test_killed_sharded_run_resumes_and_matches_json_store(tmp_path):
             sys.executable, "-m", "repro.protocol", "run",
             "--preset", "quick",
             "--store", str(store),
-            "--store-format", "sharded",
             "--backend", "serial",
         ],
         cwd=REPO_ROOT,
@@ -367,9 +274,7 @@ def test_killed_sharded_run_resumes_and_matches_json_store(tmp_path):
     )
 
     def completed_keys() -> list[str]:
-        if not store.is_dir():
-            return []
-        return ShardedResultsStore(store).keys()
+        return ResultsStore(store).keys()
 
     try:
         deadline = time.monotonic() + 120
@@ -393,29 +298,25 @@ def test_killed_sharded_run_resumes_and_matches_json_store(tmp_path):
         pytest.skip("run finished before the kill landed; resume not observable")
     assert len(survivors) == 1
     (done_key,) = survivors
-    first_record = ShardedResultsStore(store).get(done_key)
+    first_record = ResultsStore(store).get(done_key)
 
-    # Re-invoke (--store-format auto recognises the layout): only the
-    # unfinished cell runs; the survivor is served from the store untouched.
+    # Re-invoke: only the unfinished cell runs; the survivor is served from
+    # the store untouched (timings included, so a recompute would show).
     out = run_cli(
         "run", "--preset", "quick", "--store", str(store), "--backend", "serial"
     )
     assert "1 cached, 1 executed" in out.stdout
     assert "2 completed, 0 failed, 0 pending" in out.stdout
-    assert ShardedResultsStore(store).get(done_key) == first_record
+    assert ResultsStore(store).get(done_key) == first_record
 
-    # Key-for-key parity with the single-file store for the same run.
-    json_store_dir = tmp_path / "json-results"
+    # Key-for-key parity with an uninterrupted run of the same spec.
+    reference = tmp_path / "reference"
     run_cli(
-        "run", "--preset", "quick", "--store", str(json_store_dir),
+        "run", "--preset", "quick", "--store", str(reference),
         "--backend", "serial",
     )
-    json_records = {
-        path.stem: json.loads(path.read_text(encoding="utf-8"))
-        for path in json_store_dir.glob("*.json")
-        if path.name != "spec.json"
-    }
-    recovered = ShardedResultsStore(store)
-    assert sorted(recovered.keys()) == sorted(json_records)
-    for key, record in json_records.items():
+    expected = dict(ResultsStore(reference).records())
+    recovered = ResultsStore(store)
+    assert recovered.keys() == sorted(expected)
+    for key, record in expected.items():
         assert _stable(recovered.get(key)) == _stable(record)

@@ -11,17 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.protocol.pipeline import ProtocolPipeline
-from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolSpec
 from repro.protocol.store import ResultsStore
 
-#: Both ResultsStoreProtocol implementations; resume semantics are a store
-#: contract, so the shared tests run against each.
-STORE_KINDS = {"json": ResultsStore, "sharded": ShardedResultsStore}
+#: ``ProtocolPipeline`` takes a ``ResultsStore`` or a path to one; resume
+#: semantics must not depend on which it was given.
+STORE_ARGS = ("instance", "path")
 
 
-def make_store(kind: str, root):
-    return STORE_KINDS[kind](root)
+def open_pipeline(spec, root, store_arg: str, **kwargs) -> ProtocolPipeline:
+    store = ResultsStore(root) if store_arg == "instance" else root
+    return ProtocolPipeline(spec, store, **kwargs)
 
 
 def quick_spec() -> ProtocolSpec:
@@ -48,10 +48,11 @@ class _KillAfter:
             raise KeyboardInterrupt("simulated kill")
 
 
-def test_interrupted_run_resumes_without_recomputing(tmp_path):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_interrupted_run_resumes_without_recomputing(tmp_path, store_arg):
     spec = quick_spec()
-    store = ResultsStore(tmp_path / "results")
-    pipeline = ProtocolPipeline(spec, store)
+    pipeline = open_pipeline(spec, tmp_path / "results", store_arg)
+    store = pipeline.store
     assert len(pipeline.pending()) == 2
 
     # First invocation dies after the first cell was persisted.
@@ -62,11 +63,11 @@ def test_interrupted_run_resumes_without_recomputing(tmp_path):
     assert status.n_completed == 1
     assert status.n_pending == 1
 
-    # Fingerprint the surviving record so recomputation would be visible.
+    # Fingerprint the surviving record (timings included) so recomputation
+    # would be visible.
     (done_key,) = [
         key for _, key in pipeline.cells() if store.get(key) is not None
     ]
-    first_mtime = store.path_for(done_key).stat().st_mtime_ns
     first_record = store.get(done_key)
 
     # Second invocation completes the spec by running ONLY the missing cell.
@@ -77,15 +78,14 @@ def test_interrupted_run_resumes_without_recomputing(tmp_path):
     assert done_key not in summary.executed_keys
     assert pipeline.status().done
 
-    # The completed cell was not recomputed: same file, byte-identical record.
-    assert store.path_for(done_key).stat().st_mtime_ns == first_mtime
+    # The completed cell was not recomputed: identical record.
     assert store.get(done_key) == first_record
 
 
-@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
-def test_completed_run_is_fully_cached(tmp_path, store_kind):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_completed_run_is_fully_cached(tmp_path, store_arg):
     spec = quick_spec()
-    pipeline = ProtocolPipeline(spec, make_store(store_kind, tmp_path / "results"))
+    pipeline = open_pipeline(spec, tmp_path / "results", store_arg)
     first = pipeline.run(backend="serial")
     assert first.n_executed == 2
 
@@ -95,15 +95,15 @@ def test_completed_run_is_fully_cached(tmp_path, store_kind):
     assert again.executed_keys == []
 
 
-@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
-def test_changed_run_parameters_invalidate_the_cache(tmp_path, store_kind):
-    store = make_store(store_kind, tmp_path / "results")
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_changed_run_parameters_invalidate_the_cache(tmp_path, store_arg):
+    root = tmp_path / "results"
     spec = quick_spec()
-    ProtocolPipeline(spec, store).run(backend="serial")
+    open_pipeline(spec, root, store_arg).run(backend="serial")
 
     longer = quick_spec()
     longer.n_instances = 500
-    pipeline = ProtocolPipeline(longer, store)
+    pipeline = open_pipeline(longer, root, store_arg)
     assert len(pipeline.pending()) == 2  # nothing reusable
     summary = pipeline.run(backend="serial")
     assert summary.n_executed == 2
@@ -115,14 +115,15 @@ def _tiny_classifier_factory(n_features: int, n_classes: int):
     return GaussianNB(n_features=n_features, n_classes=n_classes)
 
 
-def test_changed_classifier_invalidates_the_cache(tmp_path):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_changed_classifier_invalidates_the_cache(tmp_path, store_arg):
     """Records computed with one classifier are never served to another."""
     spec = quick_spec()
-    store = ResultsStore(tmp_path / "results")
-    ProtocolPipeline(spec, store).run(backend="serial")
+    root = tmp_path / "results"
+    open_pipeline(spec, root, store_arg).run(backend="serial")
 
-    swapped = ProtocolPipeline(
-        spec, store, classifier_factory=_tiny_classifier_factory
+    swapped = open_pipeline(
+        spec, root, store_arg, classifier_factory=_tiny_classifier_factory
     )
     assert len(swapped.pending()) == 2  # nothing reusable
     summary = swapped.run(backend="serial")
@@ -133,14 +134,14 @@ def test_changed_classifier_invalidates_the_cache(tmp_path):
             "_tiny_classifier_factory"
         ), label
     # The default-classifier records are untouched and still resumable.
-    assert ProtocolPipeline(spec, store).status().done
+    assert open_pipeline(spec, root, store_arg).status().done
 
 
-@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
-def test_failed_cells_are_retried_by_default(tmp_path, store_kind):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_failed_cells_are_retried_by_default(tmp_path, store_arg):
     spec = quick_spec()
-    store = make_store(store_kind, tmp_path / "results")
-    pipeline = ProtocolPipeline(spec, store)
+    pipeline = open_pipeline(spec, tmp_path / "results", store_arg)
+    store = pipeline.store
     pipeline.run(backend="serial")
 
     # Forge one record into a failure, as a crashed worker would leave it.
@@ -157,10 +158,10 @@ def test_failed_cells_are_retried_by_default(tmp_path, store_kind):
     assert store.get(key)["error"] is None
 
 
-@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
-def test_max_cells_caps_one_invocation(tmp_path, store_kind):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_max_cells_caps_one_invocation(tmp_path, store_arg):
     spec = quick_spec()
-    pipeline = ProtocolPipeline(spec, make_store(store_kind, tmp_path / "results"))
+    pipeline = open_pipeline(spec, tmp_path / "results", store_arg)
     summary = pipeline.run(backend="serial", max_cells=1)
     assert summary.n_executed == 1
     assert pipeline.status().n_completed == 1
@@ -170,10 +171,10 @@ def test_max_cells_caps_one_invocation(tmp_path, store_kind):
     assert pipeline.status().done
 
 
-@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
-def test_records_carry_protocol_metadata(tmp_path, store_kind):
+@pytest.mark.parametrize("store_arg", STORE_ARGS)
+def test_records_carry_protocol_metadata(tmp_path, store_arg):
     spec = quick_spec()
-    pipeline = ProtocolPipeline(spec, make_store(store_kind, tmp_path / "results"))
+    pipeline = open_pipeline(spec, tmp_path / "results", store_arg)
     pipeline.run(backend="serial")
     records = pipeline.completed_records()
     assert len(records) == 2

@@ -1,226 +1,17 @@
-"""Property-based tests for the ResultsStore: round-trips, crashes, stability.
+"""Cell-key properties that resuming from the results store rests on.
 
-The store's contract is brutal on purpose: *any* visible record is complete
-and parseable, *any* interrupted write is invisible, and cell keys never
-depend on process state.  Hypothesis drives arbitrary JSON-shaped records
-through write -> (simulated crash) -> reload cycles to hold it to that.
+A stored record is found again only through its key, so keys must never
+depend on process state, must flip with every run-affecting parameter, and
+must be unique per cell.  The store itself is tested in ``test_store.py``.
 """
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
 from repro.protocol.spec import ProtocolSpec
-from repro.protocol.store import ResultsStore
-
-# JSON-representable values (round-trippable: no NaN, no non-string keys).
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**53), max_value=2**53),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(max_size=40),
-)
-_json_values = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.dictionaries(st.text(max_size=15), children, max_size=5),
-    ),
-    max_leaves=20,
-)
-_records = st.dictionaries(st.text(max_size=20), _json_values, max_size=8)
-_keys = st.text(
-    alphabet=st.characters(
-        whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters=".-_"
-    ),
-    min_size=1,
-    max_size=60,
-).filter(lambda key: not key.startswith(".") and key != "spec")
-
-
-@settings(
-    max_examples=50,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(key=_keys, record=_records)
-def test_round_trip(tmp_path_factory, key, record):
-    store = ResultsStore(tmp_path_factory.mktemp("store"))
-    store.put(key, record)
-    assert key in store
-    assert store.get(key) == record
-    # A fresh store over the same directory (process-restart analogue) sees
-    # the identical record.
-    assert ResultsStore(store.root).get(key) == record
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(record=_records, cut=st.integers(min_value=0, max_value=200))
-def test_truncated_record_reads_as_absent_and_is_recoverable(
-    tmp_path_factory, record, cut
-):
-    """A record truncated by a crashed non-atomic writer is simply 'missing'."""
-    store = ResultsStore(tmp_path_factory.mktemp("store"))
-    store.put("cell", record)
-    path = store.path_for("cell")
-    payload = path.read_bytes()
-    truncated = payload[: min(cut, max(0, len(payload) - 1))]
-    path.write_bytes(truncated)
-
-    reloaded = ResultsStore(store.root)
-    assert reloaded.get("cell") is None
-    assert "cell" not in reloaded
-    assert reloaded.keys() == []
-    # The pipeline's response is to recompute and re-put: that must heal it.
-    reloaded.put("cell", record)
-    assert reloaded.get("cell") == record
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(record=_records)
-def test_stray_tmp_files_are_invisible(tmp_path_factory, record):
-    """A crash between tmp-write and rename leaves no phantom records."""
-    store = ResultsStore(tmp_path_factory.mktemp("store"))
-    store.put("done", record)
-    # Simulate a write that died before os.replace: a lingering tmp file.
-    (store.root / ".tmp-deadbeef.json").write_text(
-        json.dumps(record)[: max(0, len(json.dumps(record)) // 2)],
-        encoding="utf-8",
-    )
-    assert store.keys() == [store.path_for("done").stem]
-    assert dict(store.records()) == {store.path_for("done").stem: record}
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(first=_records, second=_records)
-def test_put_overwrites_atomically(tmp_path_factory, first, second):
-    store = ResultsStore(tmp_path_factory.mktemp("store"))
-    store.put("cell", first)
-    store.put("cell", second)
-    assert store.get("cell") == second
-    assert len(store) == 1
-
-
-def test_put_serialises_nonfinite_floats_as_null(tmp_path: Path):
-    """Records with nan/inf metrics must land on disk as strict JSON.
-
-    Broken-pool failures record ``wall_time=nan`` and empty drift reports a
-    ``mean_delay`` of nan; ``json.dumps`` would emit bare ``NaN``, which
-    sqlite/parquet/jq all reject.
-    """
-    store = ResultsStore(tmp_path)
-    store.put(
-        "cell",
-        {
-            "wall_time": float("nan"),
-            "drift_report": {"mean_delay": float("inf"), "n_detected": 0},
-            "detections": [1.0, float("-inf")],
-        },
-    )
-
-    def reject(token):
-        raise AssertionError(f"non-strict JSON constant {token!r}")
-
-    payload = store.path_for("cell").read_text(encoding="utf-8")
-    record = json.loads(payload, parse_constant=reject)
-    assert record == store.get("cell")
-    assert record["wall_time"] is None
-    assert record["drift_report"]["mean_delay"] is None
-    assert record["detections"] == [1.0, None]
-
-
-def test_legacy_nan_records_still_read(tmp_path: Path):
-    """Stores written before the strict-serialisation fix stay readable."""
-    store = ResultsStore(tmp_path)
-    store.path_for("old").write_text('{"wall_time": NaN}', encoding="utf-8")
-    record = store.get("old")
-    assert record is not None
-    assert record["wall_time"] != record["wall_time"]  # i.e. it parsed as nan
-    assert store.statuses() == {"old": True}
-
-
-def test_atomic_write_fsyncs_the_directory(tmp_path: Path, monkeypatch):
-    """os.replace is followed by a directory fsync (POSIX), so a completed
-    record's rename survives power failure, not just its bytes."""
-    import os
-
-    # The helpers live in repro.core.durability (the store re-exports them);
-    # atomic_write_text resolves fsync_dir through that module's globals, so
-    # that is where the spy must go.
-    from repro.core import durability
-
-    synced_dirs = []
-    real_fsync_dir = durability.fsync_dir
-
-    def spying(directory):
-        synced_dirs.append(Path(directory))
-        real_fsync_dir(directory)
-
-    monkeypatch.setattr(durability, "fsync_dir", spying)
-    store = ResultsStore(tmp_path / "results")
-    store.put("cell", {"v": 1})
-    assert store.root in synced_dirs
-
-    # And the guard itself is harmless where directories cannot be fsynced.
-    if hasattr(os, "O_DIRECTORY"):
-        real_fsync_dir(tmp_path / "does-not-exist")  # no raise
-
-
-def test_sharded_appends_and_compaction_fsync(tmp_path: Path, monkeypatch):
-    """Segment appends fsync the data; segment creation and compaction fsync
-    the directory entries (same durability discipline as the atomic writes)."""
-    import os
-
-    from repro.protocol import sharded_store as sharded_module
-    from repro.protocol.sharded_store import ShardedResultsStore
-
-    synced_fds = []
-    real_fsync = os.fsync
-
-    def spying_fsync(fd):
-        synced_fds.append(fd)
-        real_fsync(fd)
-
-    synced_dirs = []
-    real_fsync_dir = sharded_module._fsync_dir
-
-    def spying_dir(directory):
-        synced_dirs.append(Path(directory))
-        real_fsync_dir(directory)
-
-    monkeypatch.setattr(os, "fsync", spying_fsync)
-    monkeypatch.setattr(sharded_module, "_fsync_dir", spying_dir)
-
-    store = ShardedResultsStore(tmp_path / "results")
-    store.put("cell", {"v": 1})
-    assert synced_fds, "segment append was not fsynced"
-    assert store.root / "segments" in synced_dirs
-
-    synced_fds.clear()
-    synced_dirs.clear()
-    store.compact()
-    assert synced_fds, "compacted index was not fsynced"
-    assert store.root in synced_dirs  # the index rename
-    assert store.root / "segments" in synced_dirs  # the segment unlinks
 
 
 def test_cell_keys_stable_across_process_restarts(tmp_path: Path):
