@@ -21,6 +21,10 @@ block of uniform doubles per instance (see :mod:`repro.streams.vector_ops`),
 ``generate_batch(n)`` consumes the underlying bit stream exactly like ``n``
 calls of ``next_instance()``: seeded outputs are bit-identical between the two
 paths.  Streams remain fully reproducible through an explicit seed.
+
+A stream may also split a batch into a label-first draw and a deferred
+feature step (:meth:`DataStream.draw_payload` / :meth:`DataStream.materialise`),
+so a consumer that keeps only some rows computes features only for those.
 """
 
 from __future__ import annotations
@@ -258,6 +262,30 @@ class DataStream(Snapshotable, abc.ABC):
         features, labels = self._generate_batch(n)
         self._position += int(labels.shape[0])
         return features, labels
+
+    # ------------------------------------------------------ label-first reads
+    def draw_payload(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the next ``n`` instances as ``(payload, labels)``.
+
+        The label-first half of :meth:`generate_batch`: it consumes the
+        stream exactly as ``generate_batch(n)`` does and advances
+        :attr:`position`, but may defer the feature computation into a
+        2-D ``payload`` array, one row per instance, that
+        :meth:`materialise` turns into the features.  Consumers that discard
+        most rows (the schedule engine's class-conditional sampler) then pay
+        for features only on the rows they keep.  The default payload *is*
+        the features.
+        """
+        return self.generate_batch(n)
+
+    def materialise(self, payload: np.ndarray) -> np.ndarray:
+        """Features of payload rows drawn by :meth:`draw_payload`.
+
+        Accepts any row subset (stacked in any order) of the payloads this
+        stream drew, and must return exactly the features ``generate_batch``
+        would have emitted for those rows.  The default is the identity.
+        """
+        return payload
 
     def _empty_batch(self) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -123,31 +123,65 @@ class RandomRBFGenerator(DataStream):
         """Return the centres currently assigned to ``label`` (for inspection)."""
         return [c.centre.copy() for c in self._centroids if c.class_label == label]
 
-    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        n_features = self.n_features
-        normal_cols = vo.n_normal_columns(n_features)
-        u = self._rng.random((n, 1 + normal_cols))
-        idx = vo.categorical_from_uniform(u[:, 0], self._probs)
-        offsets = vo.normals_from_uniform(u[:, 1:], n_features)
-        labels = self._labels[idx]
+    def _draw_uniforms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One ``(n, 1 + 2*ceil(d/2))`` uniform block and its centroid index.
+
+        Column 0 picks the centroid; the rest feed Box–Muller.
+        """
+        u = self._rng.random((n, 1 + vo.n_normal_columns(self.n_features)))
+        return u, vo.categorical_from_uniform(u[:, 0], self._probs)
+
+    def _features(self, idx: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Features of stationary centroids ``idx`` from a uniform block.
+
+        ``block`` keeps the full draw width and the Gaussians come from its
+        ``[:, 1:]`` view, so the element-wise Box–Muller sees the same
+        strided layout on the eager and the deferred path.
+        """
+        offsets = vo.normals_from_uniform(block[:, 1:], self.n_features)
+        return np.clip(
+            self._centres[idx] + offsets * self._std_devs[idx, None], 0.0, 1.0
+        )
+
+    def draw_payload(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Label-first draw: the uniform block, centroid index in column 0.
+
+        Stationary centroids only; moving centroids are a sequential
+        recurrence over the draw order, so they keep the eager default.
+        """
         if self._centroid_speed > 0.0:
-            # Incremental drift moves the sampled centroid after every draw,
-            # a sequential recurrence; iterate, but reuse the pre-drawn
-            # uniform block so the RNG consumption stays batch-invariant.
-            features = np.empty((n, n_features))
-            for i in range(n):
-                centroid = self._centroids[int(idx[i])]
-                features[i] = np.clip(
-                    centroid.centre + offsets[i] * centroid.std_dev, 0.0, 1.0
-                )
-                centroid.centre = np.clip(
-                    centroid.centre + centroid.direction * self._centroid_speed,
-                    0.0,
-                    1.0,
-                )
-            self._refresh_centroid_arrays()
-        else:
-            features = np.clip(
-                self._centres[idx] + offsets * self._std_devs[idx, None], 0.0, 1.0
+            return super().draw_payload(n)
+        u, idx = self._draw_uniforms(n)
+        # The centroid uniform is spent; keep its index so materialise
+        # needs no second CDF pass (small integers are exact in float64).
+        u[:, 0] = idx
+        self._position += n
+        return u, self._labels[idx]
+
+    def materialise(self, payload: np.ndarray) -> np.ndarray:
+        if self._centroid_speed > 0.0:
+            return payload
+        return self._features(payload[:, 0].astype(np.int64), payload)
+
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        u, idx = self._draw_uniforms(n)
+        labels = self._labels[idx]
+        if self._centroid_speed <= 0.0:
+            return self._features(idx, u), labels
+        # Incremental drift moves the sampled centroid after every draw,
+        # a sequential recurrence; iterate, but reuse the pre-drawn
+        # uniform block so the RNG consumption stays batch-invariant.
+        offsets = vo.normals_from_uniform(u[:, 1:], self.n_features)
+        features = np.empty((n, self.n_features))
+        for i in range(n):
+            centroid = self._centroids[int(idx[i])]
+            features[i] = np.clip(
+                centroid.centre + offsets[i] * centroid.std_dev, 0.0, 1.0
             )
+            centroid.centre = np.clip(
+                centroid.centre + centroid.direction * self._centroid_speed,
+                0.0,
+                1.0,
+            )
+        self._refresh_centroid_arrays()
         return features, labels

@@ -2,7 +2,7 @@
 
 :class:`~repro.streams.schedule.ScheduledStream` re-samples its per-concept
 sources class-conditionally.  The repo's chunk-exactness contract rests on
-two subtle invariants of that re-sampling, kept here in one place:
+three invariants of that re-sampling, kept here in one place:
 
 * **uniform replay** — uniforms drawn for positions that could not be
   emitted (a finite source exhausted mid-batch) must be replayed before any
@@ -10,7 +10,12 @@ two subtle invariants of that re-sampling, kept here in one place:
   per-instance iteration at the truncation point;
 * **deterministic fallback order** — when the requested class cannot be
   produced, the fallback chain (per-class buffer, newest first → fullest
-  buffer → raw source row) must be identical however the stream is read.
+  buffer → raw source row) must be identical however the stream is read;
+* **label-first sampling** — the sampler draws source rows with
+  :meth:`~repro.streams.base.DataStream.draw_payload`, so its blocks and
+  per-class buffers hold *payload* rows, and features are materialised
+  (:meth:`~repro.streams.base.DataStream.materialise`) only for the rows the
+  engine emits — never for the rejected majority.
 """
 
 from __future__ import annotations
@@ -85,16 +90,21 @@ class UniformReplayBuffer(Snapshotable):
 class ClassConditionalSampler(Snapshotable):
     """Class-conditional rejection sampler over one source stream.
 
-    Draws source rows in blocks of ``block_size`` (block boundaries depend
-    only on the cumulative number of rows requested, never on chunking),
-    buffers rows of other classes per class, and serves requests
-    newest-first so emitted instances track the current state of the
-    source.  When the requested class does not appear within ``max_draws``
-    the sampler falls back deterministically: pop the fullest buffer, else
-    emit the next source row as-is — the stream never aborts mid-run.
-    :class:`StopIteration` is raised only when the source is exhausted *and*
-    every buffer is empty.
+    Draws source rows label-first (:meth:`DataStream.draw_payload`) in
+    blocks of ``block_size`` (block boundaries depend only on the cumulative
+    number of rows requested, never on chunking), buffers rows of other
+    classes per class, and serves requests newest-first so emitted instances
+    track the current state of the source.  Rows are *payload* rows: the
+    caller turns the ones it emits into features with the source's
+    :meth:`~DataStream.materialise`.  When the requested class does not
+    appear within ``max_draws`` the sampler falls back deterministically:
+    pop the fullest buffer, else emit the next source row as-is — the stream
+    never aborts mid-run.  :class:`StopIteration` is raised only when the
+    source is exhausted *and* every buffer is empty.
     """
+
+    # Version 2: block and buffer rows hold payload rows, not features.
+    SNAPSHOT_VERSION = 2
 
     __slots__ = (
         "stream", "buffers", "max_draws", "block_size", "_block_x",
@@ -116,7 +126,7 @@ class ClassConditionalSampler(Snapshotable):
         self.max_draws = max_draws
         self.block_size = block_size
         self._block_x: np.ndarray | None = None
-        self._block_y: np.ndarray | None = None
+        self._block_y: list[int] = []
         self._cursor = 0
 
     # The wrapped stream holds un-serialisable factories, so the sampler is
@@ -144,23 +154,28 @@ class ClassConditionalSampler(Snapshotable):
         for buffer in self.buffers:
             buffer.clear()
         self._block_x = None
-        self._block_y = None
+        self._block_y = []
         self._cursor = 0
 
+    def _refill(self) -> bool:
+        """Draw the next source block once the current one is spent."""
+        block_x, block_y = self.stream.draw_payload(self.block_size)
+        if block_y.shape[0] == 0:
+            return False
+        self._block_x, self._block_y, self._cursor = block_x, block_y.tolist(), 0
+        return True
+
     def _next_row(self) -> tuple[np.ndarray, int]:
-        if self._block_y is None or self._cursor >= self._block_y.shape[0]:
-            block_x, block_y = self.stream.generate_batch(self.block_size)
-            if block_y.shape[0] == 0:
-                raise StopIteration(f"source '{self.stream.name}' exhausted")
-            self._block_x, self._block_y, self._cursor = block_x, block_y, 0
-        row = self._block_x[self._cursor], int(self._block_y[self._cursor])
-        self._cursor += 1
-        return row
+        if self._cursor >= len(self._block_y) and not self._refill():
+            raise StopIteration(f"source '{self.stream.name}' exhausted")
+        cursor = self._cursor
+        self._cursor = cursor + 1
+        return self._block_x[cursor], self._block_y[cursor]
 
     def sample(
         self, wanted: int, allowed: "tuple[int, ...] | None" = None
     ) -> tuple[np.ndarray, int]:
-        """One ``(x, y)`` of (ideally) class ``wanted``.
+        """One payload row ``(x, y)`` of (ideally) class ``wanted``.
 
         With ``allowed`` given (class arrival/removal), every fallback is
         restricted to the allowed classes so a removed class can never be
@@ -169,16 +184,28 @@ class ClassConditionalSampler(Snapshotable):
         buffer = self.buffers[wanted]
         if buffer:
             return buffer.pop()
+        # Draw up to max_draws rows until one of class ``wanted``: one
+        # ``list.index`` per block, buffering the skipped rows in draw
+        # order, exactly as a row-at-a-time loop would.
         exhausted = False
-        for _ in range(self.max_draws):
-            try:
-                x, y = self._next_row()
-            except StopIteration:
+        budget = self.max_draws
+        while budget > 0:
+            if self._cursor >= len(self._block_y) and not self._refill():
                 exhausted = True
                 break
-            if y == wanted:
-                return x, y
-            self.buffers[y].append((x, y))
+            labels, rows, start = self._block_y, self._block_x, self._cursor
+            stop = min(len(labels), start + budget)
+            try:
+                hit = labels.index(wanted, start, stop)
+            except ValueError:
+                hit = stop
+            for y, row in zip(labels[start:hit], rows[start:hit]):
+                self.buffers[y].append((row, y))
+            budget -= hit - start
+            if hit < stop:
+                self._cursor = hit + 1
+                return rows[hit], wanted
+            self._cursor = stop
         # Deterministic fallback: fullest (allowed) buffer first — ties break
         # toward the lowest class index — then the raw source.
         candidates = (

@@ -25,6 +25,14 @@ stream.  Two invariants make it fit the repo's chunk-exactness contract:
   instance at ``event.position`` is the first one generated under the new
   configuration.
 
+Sources are read label-first: each concept's sampler draws
+``(payload, labels)`` blocks with :meth:`DataStream.draw_payload`, keeps and
+buffers payload rows, and the engine calls the source's
+:meth:`DataStream.materialise` once per concept per call on just the rows it
+emits.  For a feature-first generator the payload is the features; a
+generator with an expensive feature step (stationary RBF) defers it, so the
+rejected majority of source rows never pays for it.
+
 The last segment is open-ended: its configuration continues indefinitely, so
 a scheduled stream never exhausts (evaluation harnesses choose the length).
 """
@@ -329,6 +337,11 @@ class ScheduledStream(DataStream):
         feature-drift direction is derived from it deterministically.
     """
 
+    # Version 2: the samplers' blocks and buffers hold payload rows (see
+    # DataStream.draw_payload), which a version-1 engine would misread as
+    # features.
+    SNAPSHOT_VERSION = 2
+
     def __init__(
         self,
         generator_factory: Callable[[int], DataStream],
@@ -381,6 +394,16 @@ class ScheduledStream(DataStream):
                     i, slice(None) if moved is None else list(moved)
                 ] = self._concepts[i]
         self._shifts = schedule.resolved_shifts()
+        # Per-segment label-noise rate and the top class the inverse-CDF
+        # clip may land on (the largest active class).
+        self._label_noise = np.array([s.label_noise for s in schedule.segments])
+        self._top_class = np.array(
+            [
+                max(s.active_classes or (probe.n_classes - 1,))
+                for s in schedule.segments
+            ],
+            dtype=np.int64,
+        )
         self._events = schedule.events(probe.n_classes)
         self._drift_points = [e.position for e in self._events if e.kind == "real"]
         # Unit direction of the deterministic feature drift; its own RNG so
@@ -523,6 +546,34 @@ class ScheduledStream(DataStream):
         return previous + (target - previous) * progress
 
     # -------------------------------------------------------------- execution
+    def _run_parameters(
+        self, index: int, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Priors, P(new concept) and shift magnitude inside segment ``index``."""
+        offsets = positions - int(self._starts[index])
+        return (
+            self._segment_priors(index, positions),
+            self._transition_probabilities(index, offsets),
+            self._shift_magnitudes(index, offsets),
+        )
+
+    def _materialise(self, concepts: np.ndarray, rows: list) -> np.ndarray:
+        """Materialise emitted payload rows, one call per concept."""
+        if not rows:
+            return np.empty((0, self.n_features))
+        first = int(concepts[0])
+        if len(rows) == 1:
+            return self._samplers[first].stream.materialise(rows[0][None])
+        if (concepts == first).all():
+            return self._samplers[first].stream.materialise(np.stack(rows))
+        features = np.empty((len(rows), self.n_features))
+        for concept in np.unique(concepts).tolist():
+            where = np.flatnonzero(concepts == concept)
+            features[where] = self._samplers[concept].stream.materialise(
+                np.stack([rows[i] for i in where.tolist()])
+            )
+        return features
+
     def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n == 0:
             return self._empty_batch()
@@ -532,28 +583,30 @@ class ScheduledStream(DataStream):
         u = self._uniforms.take(n, self._rng)
         segment_index = self._segment_indices(positions)
 
-        # Vectorized per-run of constant segment: priors, transition
-        # probability, feature-shift magnitude, and the top class the
-        # inverse-CDF clip may land on (the largest *active* class, so the
-        # floating-point clip can never resurrect a removed class).
-        priors = np.empty((n, k))
-        p_new = np.empty(n)
-        magnitudes = np.empty(n)
-        top_class = np.empty(n, dtype=np.int64)
-        run_edges = np.flatnonzero(np.diff(segment_index)) + 1
-        run_starts = np.concatenate([[0], run_edges, [n]])
-        for r in range(run_starts.shape[0] - 1):
-            lo, hi = int(run_starts[r]), int(run_starts[r + 1])
-            index = int(segment_index[lo])
-            offsets = positions[lo:hi] - int(self._starts[index])
-            priors[lo:hi] = self._segment_priors(index, positions[lo:hi])
-            p_new[lo:hi] = self._transition_probabilities(index, offsets)
-            magnitudes[lo:hi] = self._shift_magnitudes(index, offsets)
-            active = segments[index].active_classes
-            top_class[lo:hi] = k - 1 if active is None else max(active)
+        # Vectorized per run of constant segment: priors, transition
+        # probability and feature-shift magnitude.  A call inside one
+        # segment (every per-instance read) skips the run splitting.
+        if segment_index[0] == segment_index[-1]:
+            priors, p_new, magnitudes = self._run_parameters(
+                int(segment_index[0]), positions
+            )
+        else:
+            priors = np.empty((n, k))
+            p_new = np.empty(n)
+            magnitudes = np.empty(n)
+            run_edges = np.flatnonzero(np.diff(segment_index)) + 1
+            run_starts = np.concatenate([[0], run_edges, [n]]).tolist()
+            for lo, hi in zip(run_starts[:-1], run_starts[1:]):
+                priors[lo:hi], p_new[lo:hi], magnitudes[lo:hi] = (
+                    self._run_parameters(int(segment_index[lo]), positions[lo:hi])
+                )
 
-        # Target class per instance (row-wise inverse CDF).
-        wanted = inverse_cdf_classes(priors, u[:, 0], top=top_class)
+        # Target class per instance (row-wise inverse CDF), clipped to the
+        # largest *active* class so floating-point error at the top of the
+        # CDF can never resurrect a removed class.
+        wanted = inverse_cdf_classes(
+            priors, u[:, 0], top=self._top_class[segment_index]
+        )
 
         # Concept per instance: during a transition each class mixes from the
         # concept it was on into the one it moves to (equal for the classes a
@@ -564,29 +617,35 @@ class ScheduledStream(DataStream):
             self._class_concepts[np.maximum(segment_index - 1, 0), wanted],
         )
 
-        features = np.empty((n, self.n_features))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            index = int(segment_index[i])
+        # Label-first: sample payload rows, materialise features only for
+        # the rows actually emitted.
+        rows: list = []
+        emitted: list[int] = []
+        for concept, target, index in zip(
+            concepts.tolist(), wanted.tolist(), segment_index.tolist()
+        ):
             try:
-                x, y = self._sampler(int(concepts[i])).sample(
-                    int(wanted[i]), allowed=segments[index].active_classes
+                x, y = self._sampler(concept).sample(
+                    target, allowed=segments[index].active_classes
                 )
             except StopIteration:
                 # Finite source ran dry: emit what was produced and replay the
                 # undecided uniform rows next call (terminal, chunk-exact).
                 # The emitted prefix still goes through noise/shift below.
-                self._uniforms.stash(u[i:])
-                n = i
-                features, labels = features[:n], labels[:n]
-                u, segment_index, magnitudes = u[:n], segment_index[:n], magnitudes[:n]
+                n = len(rows)
+                self._uniforms.stash(u[n:])
+                u, segment_index = u[:n], segment_index[:n]
+                concepts, magnitudes = concepts[:n], magnitudes[:n]
                 break
-            features[i] = x
-            labels[i] = y
+            # A copy: a view would keep its whole source block alive (and
+            # editable) until the call ends.
+            rows.append(x.copy())
+            emitted.append(y)
+        features = self._materialise(concepts, rows)
+        labels = np.array(emitted, dtype=np.int64)
 
         # Label noise: flip to a uniformly chosen *other* active class.
-        noise = np.array([segments[j].label_noise for j in segment_index])
-        for i in np.flatnonzero(u[:, 2] < noise):
+        for i in np.flatnonzero(u[:, 2] < self._label_noise[segment_index]):
             active = segments[int(segment_index[i])].active_classes
             pool = list(active) if active is not None else list(range(k))
             if labels[i] in pool:

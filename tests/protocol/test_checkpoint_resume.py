@@ -23,6 +23,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.evaluation.checkpoint import RunnerCheckpoint
+from repro.protocol.pipeline import ProtocolPipeline
+from repro.protocol.spec import ProtocolSpec
 from repro.protocol.store import ResultsStore
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -216,3 +219,79 @@ def test_checkpointed_run_matches_plain_run(tmp_path):
     for key, record in plain_records.items():
         assert _stable(checkpointed_records[key]) == _stable(record), key
     assert not list((checkpointed / "checkpoints").glob("*.json"))
+
+
+# ------------------------------------------------- stream layout versions
+class _Killed(BaseException):
+    """Escapes the per-cell error handling, as a SIGKILL would."""
+
+
+#: Snapshot kinds whose state layout changed when the schedule engine's
+#: samplers started buffering payload rows instead of feature rows.
+_PAYLOAD_KINDS = ("ScheduledStream", "ClassConditionalSampler")
+
+
+def _as_version_1(node) -> int:
+    """Relabel every payload-layout snapshot inside ``node`` as version 1."""
+    relabelled = 0
+    if isinstance(node, dict):
+        if node.get("kind") in _PAYLOAD_KINDS and "version" in node:
+            node["version"] = 1
+            relabelled += 1
+        for value in node.values():
+            relabelled += _as_version_1(value)
+    elif isinstance(node, list):
+        for value in node:
+            relabelled += _as_version_1(value)
+    return relabelled
+
+
+@pytest.mark.parametrize("stream_version", ["current", "v1"])
+def test_stream_checkpoint_of_another_layout_reruns_the_cell(
+    tmp_path, monkeypatch, stream_version
+):
+    """A version-1 stream checkpoint is refused before it mutates anything.
+
+    Version 1 buffered feature rows where the engine now buffers payload
+    rows, so applying one would feed raw uniforms in as features.  The
+    cell must rerun from scratch instead, and its record must equal an
+    uninterrupted run's.  The current version resumes as usual.
+    """
+    spec = ProtocolSpec.quick()
+    ProtocolPipeline(spec, tmp_path / "reference").run(backend="serial")
+    reference = dict(ResultsStore(tmp_path / "reference").records())
+
+    store = tmp_path / "results"
+    real_save = RunnerCheckpoint.save
+
+    def dying_save(self, target):
+        real_save(self, target)
+        raise _Killed()
+
+    monkeypatch.setattr(RunnerCheckpoint, "save", dying_save)
+    with pytest.raises(_Killed):
+        ProtocolPipeline(spec, store).run(backend="serial", checkpoint_every=100)
+    monkeypatch.undo()
+    [path] = (store / "checkpoints").glob("*.json")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert 0 < payload["produced"] < spec.n_instances
+    if stream_version == "v1":
+        # The stream itself plus at least one sampler snapshot inside it.
+        assert _as_version_1(payload["stream"]) >= 2
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    applied = []
+    real_apply = RunnerCheckpoint.apply
+
+    def spying_apply(self, *args):
+        applied.append(self.produced)
+        return real_apply(self, *args)
+
+    monkeypatch.setattr(RunnerCheckpoint, "apply", spying_apply)
+    ProtocolPipeline(spec, store).run(backend="serial", checkpoint_every=100)
+    assert applied == ([] if stream_version == "v1" else [payload["produced"]])
+
+    resumed = dict(ResultsStore(store).records())
+    assert sorted(resumed) == sorted(reference)
+    for key, record in reference.items():
+        assert _stable(resumed[key]) == _stable(record), key
